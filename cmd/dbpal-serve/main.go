@@ -72,7 +72,7 @@ func main() {
 
 		cacheSize = flag.Int("cache-size", 1024, "anonymization-keyed result cache entries per model version (0 = no cache)")
 		batchMax  = flag.Int("batch-max", 8, "microbatch size: concurrent decodes share one batched forward pass (0 or 1 = no batching)")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max time a partial microbatch waits before flushing")
+		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max time a request gathered behind an in-flight decode waits before its microbatch flushes (a request finding no decode in flight never waits)")
 
 		minAcc    = flag.Float64("min-accuracy", 0, "onboarding eval gate: reject candidate models scoring below this (0 = no gate)")
 		evalQs    = flag.Int("eval-questions", 0, "onboarding eval workload size (0 = default, negative = skip eval)")

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/tokens"
 )
 
 // batchQuestions mixes trained phrasings, unseen phrasings, and
@@ -22,24 +24,88 @@ func batchQuestions() [][]string {
 	}
 }
 
+// scalarGreedy is the scalar greedy decoder Translate used to be,
+// kept as the oracle of the golden tests: the training forward pass
+// (encode/forwardStep, GRU caches and all) one vector at a time, then
+// the argmax at every step. Translate now runs the arena/StepBatch
+// path at k=1 and must reproduce this loop token for token.
+func scalarGreedy(m *Seq2Seq, nl, schemaToks []string) []string {
+	if m.vocab == nil {
+		return nil
+	}
+	es := m.encode(InputSequence(nl, schemaToks))
+	h := es.final
+	prevID := tokens.BosID
+	var out []string
+	for step := 0; step < m.cfg.MaxOutLen; step++ {
+		st, hNew := m.forwardStep(prevID, h, es)
+		tok := m.pickToken(st.pv, st.pgen, st.alpha, es.toks)
+		if tok == tokens.EosToken {
+			break
+		}
+		out = append(out, tok)
+		h = hNew
+		prevID = m.vocab.ID(tok)
+	}
+	return out
+}
+
+// unseenSchema is a database the fixture model never trained on: its
+// tokens reach the output only through the copy path.
+func unseenSchema() ([]string, []string) {
+	return []string{"ships", "label", "tonnage", "ships.label", "ships.tonnage", "@SHIPS.TONNAGE", "@JOIN"},
+		strings.Fields("show the label of ship with tonnage @SHIPS.TONNAGE")
+}
+
+// TestTranslateScalarGolden: Translate is token-identical to the
+// scalar greedy oracle on every test corpus — the training questions,
+// the batch questions, and an unseen schema — for the trained fixture
+// and for a barely trained model whose decodes run long and copy
+// freely.
+func TestTranslateScalarGolden(t *testing.T) {
+	cfg := DefaultSeq2SeqConfig()
+	cfg.Epochs = 1
+	cfg.EmbDim = 24
+	cfg.HidDim = 48
+	rough := NewSeq2Seq(cfg)
+	rough.Train(trainingExamples())
+	st := trainingExamples()[0].Schema
+	var nls [][]string
+	for _, ex := range trainingExamples() {
+		nls = append(nls, ex.NL)
+	}
+	nls = append(nls, batchQuestions()...)
+	ust, unl := unseenSchema()
+	for name, m := range map[string]*Seq2Seq{"trained": trainedSeq2Seq(t), "rough": rough} {
+		for _, nl := range nls {
+			if got, want := m.Translate(nl, st), scalarGreedy(m, nl, st); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Translate(%v) = %v, scalar oracle %v", name, nl, got, want)
+			}
+		}
+		if got, want := m.Translate(unl, ust), scalarGreedy(m, unl, ust); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: unseen schema: Translate = %v, scalar oracle %v", name, got, want)
+		}
+	}
+}
+
 // TestTranslateBatchSingletonGolden: batched decoding of a single
-// input must be bit-identical to the sequential Translate — the k=1
+// input must be bit-identical to the scalar greedy oracle — the k=1
 // equivalence that guarantees batching never changes single-request
 // semantics.
 func TestTranslateBatchSingletonGolden(t *testing.T) {
 	m := trainedSeq2Seq(t)
 	st := trainingExamples()[0].Schema
 	for _, nl := range batchQuestions() {
-		seq := m.Translate(nl, st)
+		seq := scalarGreedy(m, nl, st)
 		bat := m.TranslateBatch([][]string{nl}, st)
 		if len(bat) != 1 || !reflect.DeepEqual(bat[0], seq) {
-			t.Fatalf("TranslateBatch(k=1) diverged for %v:\n  batched:    %v\n  sequential: %v", nl, bat, seq)
+			t.Fatalf("TranslateBatch(k=1) diverged for %v:\n  batched: %v\n  scalar:  %v", nl, bat, seq)
 		}
 	}
 }
 
 // TestTranslateBatchRowGolden: at k=n, every row of the batched decode
-// must equal the sequential translation of that row alone — batch
+// must equal the scalar translation of that row alone — batch
 // composition must not leak between rows.
 func TestTranslateBatchRowGolden(t *testing.T) {
 	m := trainedSeq2Seq(t)
@@ -50,15 +116,15 @@ func TestTranslateBatchRowGolden(t *testing.T) {
 		t.Fatalf("TranslateBatch returned %d rows for %d inputs", len(bat), len(nls))
 	}
 	for r, nl := range nls {
-		seq := m.Translate(nl, st)
+		seq := scalarGreedy(m, nl, st)
 		if !reflect.DeepEqual(bat[r], seq) {
-			t.Fatalf("row %d diverged for %v:\n  batched:    %v\n  sequential: %v", r, nl, bat[r], seq)
+			t.Fatalf("row %d diverged for %v:\n  batched: %v\n  scalar:  %v", r, nl, bat[r], seq)
 		}
 	}
 	// Sub-batches in a different order must not change any row either.
 	sub := [][]string{nls[3], nls[0], nls[6]}
 	for r, got := range m.TranslateBatch(sub, st) {
-		if want := m.Translate(sub[r], st); !reflect.DeepEqual(got, want) {
+		if want := scalarGreedy(m, sub[r], st); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sub-batch row %d = %v, want %v", r, got, want)
 		}
 	}
@@ -68,12 +134,11 @@ func TestTranslateBatchRowGolden(t *testing.T) {
 // — OOV schema tokens of a never-seen database still come out.
 func TestTranslateBatchUnseenSchema(t *testing.T) {
 	m := trainedSeq2Seq(t)
-	st := []string{"ships", "label", "tonnage", "ships.label", "ships.tonnage", "@SHIPS.TONNAGE", "@JOIN"}
-	nl := strings.Fields("show the label of ship with tonnage @SHIPS.TONNAGE")
-	seq := m.Translate(nl, st)
+	st, nl := unseenSchema()
+	seq := scalarGreedy(m, nl, st)
 	bat := m.TranslateBatch([][]string{nl, strings.Fields("how many ship be there")}, st)
 	if !reflect.DeepEqual(bat[0], seq) {
-		t.Fatalf("unseen-schema batched row diverged:\n  batched:    %v\n  sequential: %v", bat[0], seq)
+		t.Fatalf("unseen-schema batched row diverged:\n  batched: %v\n  scalar:  %v", bat[0], seq)
 	}
 }
 

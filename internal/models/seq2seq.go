@@ -466,38 +466,15 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 }
 
 // Translate implements Translator: greedy decoding with the
-// generate/copy mixture.
+// generate/copy mixture. It is TranslateBatch at k=1 — the one greedy
+// path, an inference-only forward pass that keeps no backprop state.
 func (m *Seq2Seq) Translate(nl, schemaToks []string) []string {
-	if m.vocab == nil {
-		return nil
-	}
-	input := InputSequence(nl, schemaToks)
-	es := m.encode(input)
-	h := es.final
-	prevID := tokens.BosID
-	var out []string
-	for step := 0; step < m.cfg.MaxOutLen; step++ {
-		st, hNew := m.forwardStep(prevID, h, es)
-		tok := m.bestToken(st, es)
-		if tok == tokens.EosToken {
-			break
-		}
-		out = append(out, tok)
-		h = hNew
-		prevID = m.vocab.ID(tok)
-	}
-	return out
+	return m.TranslateBatch([][]string{nl}, schemaToks)[0]
 }
 
-// bestToken picks the argmax token of the mixture distribution over
-// the vocabulary plus copyable input tokens.
-func (m *Seq2Seq) bestToken(st *decStep, es *encState) string {
-	return m.pickToken(st.pv, st.pgen, st.alpha, es.toks)
-}
-
-// pickToken is the decoding argmax shared by the sequential and the
-// batched greedy decoders: pv is the vocabulary softmax, pgen the
-// generate-vs-copy mixture weight, alpha the attention over inputToks.
+// pickToken is the greedy decoding argmax: pv is the vocabulary
+// softmax, pgen the generate-vs-copy mixture weight, alpha the
+// attention over inputToks.
 func (m *Seq2Seq) pickToken(pv []float64, pgen float64, alpha []float64, inputToks []string) string {
 	// Copy mass per distinct input token.
 	copyMass := map[string]float64{}

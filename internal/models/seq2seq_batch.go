@@ -58,9 +58,12 @@ var _ BatchTranslator = (*Seq2Seq)(nil)
 // at timestep t always form a batch prefix; the decoder keeps a
 // shrinking active set, with rows leaving the batch at their EOS.
 //
-// Per-row output is bit-identical to Translate: every batched kernel
-// replays the sequential path's operation order row by row, and the
-// argmax (pickToken) is literally the same code.
+// This is the only greedy decoder: Translate is this call at k=1. Per-
+// row output does not depend on the batch around it — every batched
+// kernel performs each row's operations in the order of the scalar
+// forward pass (encode/forwardStep, kept for training and beam search),
+// and the golden tests hold it to the scalar greedy loop token for
+// token.
 func (m *Seq2Seq) TranslateBatch(nls [][]string, schemaToks []string) [][]string {
 	k := len(nls)
 	out := make([][]string, k)

@@ -40,36 +40,69 @@ func (b *Batch) Prefix(k int) *Batch {
 }
 
 // MulBatch computes Y = X Mᵀ for a batch X (K×C) into Y (K×R):
-// Y[b][i] = Σ_j M[i][j]·X[b][j]. The weight row is the outer loop so
-// it stays cache-hot across all K examples, and the inner j loop
-// accumulates in the same ascending order as MulVec — each output row
-// is bit-identical to MulVec on that row alone.
-func (m *Mat) MulBatch(x, y *Batch) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		for b := 0; b < x.K; b++ {
-			xr := x.W[b*x.N : (b+1)*x.N]
-			s := 0.0
-			for j, rv := range row {
-				s += rv * xr[j]
-			}
-			y.W[b*y.N+i] = s
-		}
-	}
-}
+// Y[b][i] = Σ_j M[i][j]·X[b][j]. Each output row is bit-identical to
+// MulVec on that row alone (see mulRows).
+func (m *Mat) MulBatch(x, y *Batch) { m.mulRows(x.W, x.N, x.K, y.W, y.N, false) }
 
 // MulBatchAdd computes Y += X Mᵀ with the same ordering guarantees as
 // MulBatch (the batched MulVecAdd).
-func (m *Mat) MulBatchAdd(x, y *Batch) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		for b := 0; b < x.K; b++ {
-			xr := x.W[b*x.N : (b+1)*x.N]
-			s := 0.0
-			for j, rv := range row {
-				s += rv * xr[j]
+func (m *Mat) MulBatchAdd(x, y *Batch) { m.mulRows(x.W, x.N, x.K, y.W, y.N, true) }
+
+// mulRows is the one matrix-vector kernel behind MulVec, MulVecAdd,
+// MulBatch and MulBatchAdd: for each of the k input vectors of x
+// (stride xn) it stores (or, with add, adds) M·x into the matching
+// vector of y (stride yn).
+//
+// The kernel is register-blocked over weight rows: four rows are swept
+// together, each with its own accumulator, so one load of x[j] feeds
+// four independent add chains that overlap in the pipeline. Within a
+// row nothing changes — one accumulator starting at 0, the products
+// added in ascending j, no fused multiply-add — so every output is
+// bit-identical to the plain one-row dot product (the oracle tests in
+// gemm_test.go compare Float64bits). The weight-row block is the outer
+// loop, so it stays cache-hot across all k inputs; rows left over after
+// the last full block take the one-row loop.
+func (m *Mat) mulRows(x []float64, xn, k int, y []float64, yn int, add bool) {
+	c := m.C
+	i := 0
+	for ; i+4 <= m.R; i += 4 {
+		w := m.W[i*c : (i+4)*c]
+		r0, r1, r2, r3 := w[:c], w[c:2*c], w[2*c:3*c], w[3*c:]
+		for b := 0; b < k; b++ {
+			xr := x[b*xn : b*xn+c]
+			r0, r1, r2, r3 := r0[:len(xr)], r1[:len(xr)], r2[:len(xr)], r3[:len(xr)]
+			var s0, s1, s2, s3 float64
+			for j, xv := range xr {
+				s0 += r0[j] * xv
+				s1 += r1[j] * xv
+				s2 += r2[j] * xv
+				s3 += r3[j] * xv
 			}
-			y.W[b*y.N+i] += s
+			yr := y[b*yn+i : b*yn+i+4]
+			if add {
+				yr[0] += s0
+				yr[1] += s1
+				yr[2] += s2
+				yr[3] += s3
+			} else {
+				yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			}
+		}
+	}
+	for ; i < m.R; i++ {
+		row := m.W[i*c : (i+1)*c]
+		for b := 0; b < k; b++ {
+			xr := x[b*xn : b*xn+c]
+			row := row[:len(xr)]
+			s := 0.0
+			for j, xv := range xr {
+				s += row[j] * xv
+			}
+			if add {
+				y[b*yn+i] += s
+			} else {
+				y[b*yn+i] = s
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package neural
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,31 +36,67 @@ func requireRowsEqual(t *testing.T, what string, got *Batch, b int, want []float
 	}
 }
 
-// TestMulBatchMatchesMulVec: every row of a batched multiply must be
-// bit-identical to MulVec on that row alone, at k=1 and k=n.
-func TestMulBatchMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := NewMatRand(13, 9, rng)
-	for _, k := range []int{1, 2, 8, 17} {
-		x := randBatch(k, 9, rng)
-		y := NewBatch(k, 13)
-		m.MulBatch(x, y)
-		for b := 0; b < k; b++ {
-			want := NewVec(13)
-			m.MulVec(x.Row(b), want)
-			requireRowsEqual(t, fmt.Sprintf("MulBatch k=%d", k), y, b, want)
-		}
+// refMulRow is the test oracle for every matrix-vector kernel: the
+// plain one-row dot product, one accumulator, products added in
+// ascending j. The register-blocked kernels must reproduce it bit for
+// bit.
+func refMulRow(m *Mat, i int, x []float64) float64 {
+	s := 0.0
+	for j, rv := range m.Row(i) {
+		s += rv * x[j]
+	}
+	return s
+}
 
-		// The accumulate form against MulVecAdd over the same initial y.
-		y2 := randBatch(k, 13, rng)
-		want2 := make([][]float64, k)
-		for b := 0; b < k; b++ {
-			want2[b] = append([]float64(nil), y2.Row(b)...)
-			m.MulVecAdd(x.Row(b), want2[b])
-		}
-		m.MulBatchAdd(x, y2)
-		for b := 0; b < k; b++ {
-			requireRowsEqual(t, fmt.Sprintf("MulBatchAdd k=%d", k), y2, b, want2[b])
+// requireBits asserts Float64bits equality: a kernel that merely
+// rounds the same sum differently must fail.
+func requireBits(t *testing.T, what string, i int, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: output %d = %v (%#x), oracle %v (%#x)", what, i, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestMulKernelsOracle: MulVec, MulVecAdd, MulBatch and MulBatchAdd
+// are bit-identical to the one-row reference loop at every shape the
+// blocking can split awkwardly — row counts below, at and around the
+// block of four, odd widths, and batches of one and many.
+func TestMulKernelsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, r := range []int{1, 2, 3, 4, 5, 7, 96, 257} {
+		for _, c := range []int{1, 3, 48, 96, 192} {
+			m := NewMatRand(r, c, rng)
+			shape := fmt.Sprintf("R=%d C=%d", r, c)
+
+			v := randVec(c, rng)
+			y := NewVec(r)
+			m.MulVec(v, y)
+			y0 := randVec(r, rng)
+			yAdd := append([]float64(nil), y0...)
+			m.MulVecAdd(v, yAdd)
+			for i := 0; i < r; i++ {
+				want := refMulRow(m, i, v)
+				requireBits(t, "MulVec "+shape, i, y[i], want)
+				requireBits(t, "MulVecAdd "+shape, i, yAdd[i], y0[i]+want)
+			}
+
+			for _, k := range []int{1, 3, 8} {
+				x := randBatch(k, c, rng)
+				yb := NewBatch(k, r)
+				m.MulBatch(x, yb)
+				yb0 := randBatch(k, r, rng)
+				ybAdd := NewBatch(k, r)
+				copy(ybAdd.W, yb0.W)
+				m.MulBatchAdd(x, ybAdd)
+				for b := 0; b < k; b++ {
+					what := fmt.Sprintf("%s k=%d row %d", shape, k, b)
+					for i := 0; i < r; i++ {
+						want := refMulRow(m, i, x.Row(b))
+						requireBits(t, "MulBatch "+what, i, yb.Row(b)[i], want)
+						requireBits(t, "MulBatchAdd "+what, i, ybAdd.Row(b)[i], yb0.Row(b)[i]+want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -102,28 +102,10 @@ func (m *Mat) AddGrad(other *Mat) {
 func (m *Mat) String() string { return fmt.Sprintf("Mat(%dx%d)", m.R, m.C) }
 
 // MulVec computes y = M v (len(v) == C, len(y) == R).
-func (m *Mat) MulVec(v, y []float64) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		s := 0.0
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		y[i] = s
-	}
-}
+func (m *Mat) MulVec(v, y []float64) { m.mulRows(v, m.C, 1, y, m.R, false) }
 
 // MulVecAdd computes y += M v.
-func (m *Mat) MulVecAdd(v, y []float64) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		s := 0.0
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		y[i] += s
-	}
-}
+func (m *Mat) MulVecAdd(v, y []float64) { m.mulRows(v, m.C, 1, y, m.R, true) }
 
 // MulVecT computes y += Mᵀ v (len(v) == R, len(y) == C); used for
 // gradient backflow through a linear map.

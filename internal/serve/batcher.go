@@ -15,9 +15,11 @@ type BatcherConfig struct {
 	// MaxBatch flushes a batch as soon as it holds this many requests
 	// (default 8). Values below 2 disable batching.
 	MaxBatch int
-	// MaxWait flushes a partial batch this long after its first
-	// request arrived (default 2ms) — the latency bound a lone request
-	// pays for the chance of sharing a decode.
+	// MaxWait bounds how long a request gathered behind an in-flight
+	// decode waits for it (default 2ms): the partial batch flushes
+	// this long after its first request arrived even if that decode
+	// is still running. A request arriving while the batcher is idle
+	// never waits.
 	MaxWait time.Duration
 }
 
@@ -32,15 +34,20 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 }
 
 // Batcher gathers concurrent decode requests into one batched forward
-// pass over the model. Requests accumulate in the current batch until
-// it is full (MaxBatch, flushed by the request that filled it) or the
-// oldest request has waited MaxWait (flushed by the timer); either
-// way, one goroutine decodes the whole batch — through the model's
-// TranslateBatch when it implements models.BatchTranslator, per item
-// otherwise — and every waiter receives its own row. A request whose
-// context is cancelled while queued leaves immediately, and the flush
-// skips it, so a dead client never occupies a batch slot into the
-// decode.
+// pass over the model. It is work-conserving: a request that finds no
+// batch gathering and no decode in flight decodes at once on its own
+// goroutine, since there is nothing to share a decode with. A request
+// that arrives while a decode is running joins the gathering batch,
+// which flushes when it is full (MaxBatch, by the request that filled
+// it), when the last in-flight decode finishes (scheduled through
+// after(0, …)), or when its oldest request has waited MaxWait,
+// whichever comes first. One goroutine decodes the whole batch —
+// through the model's TranslateBatch when it implements
+// models.BatchTranslator, per item otherwise — and every waiter
+// receives its own row; b.mu is never held across a decode. A request
+// whose context is cancelled while queued leaves immediately, and the
+// flush skips it, so a dead client never occupies a batch slot into
+// the decode.
 //
 // The batched decode is bit-identical per row to a sequential decode
 // (the BatchTranslator contract), so batching changes throughput,
@@ -50,17 +57,19 @@ type Batcher struct {
 	schema []string
 	cfg    BatcherConfig
 
-	// after schedules the MaxWait flush; a test may replace it to
-	// drive flushes by hand instead of by wall clock.
+	// after schedules the MaxWait and decode-finished flushes; a test
+	// may replace it to drive flushes by hand instead of by wall clock.
 	after func(d time.Duration, f func()) *time.Timer
 
-	mu  sync.Mutex
-	cur *batch
+	mu       sync.Mutex
+	cur      *batch // the gathering batch; nil when none
+	inflight int    // decodes running now
 
 	batches   atomic.Int64
 	items     atomic.Int64
 	flushFull atomic.Int64
 	flushWait atomic.Int64
+	flushIdle atomic.Int64
 	cancelled atomic.Int64
 }
 
@@ -99,9 +108,12 @@ type BatcherStats struct {
 	Items     int64   `json:"items"`
 	MeanBatch float64 `json:"mean_batch"`
 	// FlushFull counts batches flushed at MaxBatch, FlushWait batches
-	// flushed by the MaxWait timer.
+	// flushed by the MaxWait timer, and FlushIdle batches flushed
+	// because no decode was in flight: a lone request decoding at once,
+	// or a gather flushed as the decode it waited behind finished.
 	FlushFull int64 `json:"flush_full"`
 	FlushWait int64 `json:"flush_wait"`
+	FlushIdle int64 `json:"flush_idle"`
 	// Cancelled counts requests that left a batch before its decode.
 	Cancelled int64 `json:"cancelled"`
 }
@@ -115,6 +127,7 @@ func (b *Batcher) Snapshot() BatcherStats {
 		Items:     b.items.Load(),
 		FlushFull: b.flushFull.Load(),
 		FlushWait: b.flushWait.Load(),
+		FlushIdle: b.flushIdle.Load(),
 		Cancelled: b.cancelled.Load(),
 	}
 	if st.Batches > 0 {
@@ -124,8 +137,10 @@ func (b *Batcher) Snapshot() BatcherStats {
 }
 
 // Do submits one prepared question and blocks until its batch is
-// decoded or ctx is done. The returned tokens are exactly what a
-// sequential model.Translate(nl, schemaToks) would produce.
+// decoded or ctx is done; a request that found the batcher idle
+// decodes alone on the calling goroutine and returns with its decode.
+// The returned tokens are exactly what a sequential
+// model.Translate(nl, schemaToks) would produce.
 func (b *Batcher) Do(ctx context.Context, nl []string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -133,6 +148,14 @@ func (b *Batcher) Do(ctx context.Context, nl []string) ([]string, error) {
 	it := &batchItem{nl: nl, ctx: ctx, done: make(chan struct{})}
 
 	b.mu.Lock()
+	if b.cur == nil && b.inflight == 0 {
+		// Idle: no decode to share, so none to wait for.
+		b.inflight++
+		b.mu.Unlock()
+		b.flushIdle.Add(1)
+		b.decode(&batch{items: []*batchItem{it}}) //lint:allow ctxdrop a lone decode has no batch to leave; decode still drops a dead ctx before the model call, and the runtime bounds the whole tier call with par.Await under its deadline
+		return it.out, it.err
+	}
 	if b.cur == nil {
 		cur := &batch{}
 		b.cur = cur
@@ -147,6 +170,7 @@ func (b *Batcher) Do(ctx context.Context, nl []string) ([]string, error) {
 		// Detach while still holding the lock so the next arrival
 		// starts a fresh batch; this request becomes the flusher.
 		b.cur = nil
+		b.inflight++
 	}
 	b.mu.Unlock()
 
@@ -168,8 +192,9 @@ func (b *Batcher) Do(ctx context.Context, nl []string) ([]string, error) {
 	}
 }
 
-// flush is the timer path: detach cur if it is still the current
-// batch (a full flush may have beaten the timer) and decode it.
+// flush is the scheduled path (MaxWait timer or decode finished):
+// detach cur if it is still the gathering batch (another flush may
+// have beaten this one) and decode it.
 func (b *Batcher) flush(cur *batch, reason *atomic.Int64) {
 	b.mu.Lock()
 	if b.cur != cur {
@@ -177,15 +202,32 @@ func (b *Batcher) flush(cur *batch, reason *atomic.Int64) {
 		return
 	}
 	b.cur = nil
+	b.inflight++
 	b.mu.Unlock()
+	cur.timer.Stop()
 	reason.Add(1)
 	b.decode(cur)
+}
+
+// finish retires one in-flight decode. When it was the last, a batch
+// gathered behind it flushes now rather than waiting out MaxWait.
+func (b *Batcher) finish() {
+	b.mu.Lock()
+	b.inflight--
+	cur := b.cur
+	idle := b.inflight == 0 && cur != nil
+	b.mu.Unlock()
+	if idle {
+		b.after(0, func() { b.flush(cur, &b.flushIdle) })
+	}
 }
 
 // decode runs the batched forward pass and distributes rows. A panic
 // anywhere in the model is recovered into a per-item error — one
 // poisoned question must not take down its batchmates' goroutines.
+// The caller has counted the decode in b.inflight.
 func (b *Batcher) decode(cur *batch) {
+	defer b.finish()
 	b.batches.Add(1)
 	live := cur.items[:0]
 	for _, it := range cur.items {
@@ -249,7 +291,8 @@ func (m batchingModel) Translate(nl, schemaToks []string) []string {
 }
 
 // TranslateContext implements models.ContextTranslator: the decode
-// joins the current microbatch and leaves it cleanly if ctx dies.
+// runs at once when the batcher is idle, or joins the gathering
+// microbatch and leaves it cleanly if ctx dies.
 func (m batchingModel) TranslateContext(ctx context.Context, nl, _ []string) []string {
 	out, err := m.b.Do(ctx, nl)
 	if err != nil {

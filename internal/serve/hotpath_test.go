@@ -108,124 +108,287 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushFull: the request that fills the batch flushes it,
-// every waiter gets its row, and stats record one full flush.
-func TestBatcherFlushFull(t *testing.T) {
-	model := &batchOracle{}
-	b := NewBatcher(model, []string{"patients"}, BatcherConfig{MaxBatch: 4, MaxWait: time.Hour})
-	// Neutralize the timer: this test must flush on size alone.
-	b.after = func(d time.Duration, f func()) *time.Timer { return time.NewTimer(time.Hour) }
-
-	var wg sync.WaitGroup
-	outs := make([][]string, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], _ = b.Do(context.Background(), []string{"q", fmt.Sprint(i)})
-		}(i)
-	}
-	wg.Wait()
-	for i, out := range outs {
-		if len(out) == 0 {
-			t.Fatalf("row %d got no decode", i)
-		}
-	}
-	if model.batched.Load() != 1 || model.single.Load() != 0 {
-		t.Fatalf("decodes: batched=%d single=%d, want one batched pass", model.batched.Load(), model.single.Load())
-	}
-	st := b.Snapshot()
-	if st.Batches != 1 || st.Items != 4 || st.FlushFull != 1 || st.FlushWait != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.MeanBatch != 4 {
-		t.Fatalf("mean batch = %v, want 4", st.MeanBatch)
-	}
+// gatedModel decodes through inner, except that a decode including
+// the question "hold" reports on started and then blocks until gate
+// is closed: the way a test keeps a decode in flight.
+type gatedModel struct {
+	inner   models.BatchTranslator
+	started chan struct{}
+	gate    chan struct{}
 }
 
-// TestBatcherFlushWait: a partial batch flushes when the injected
-// timer fires, not before.
-func TestBatcherFlushWait(t *testing.T) {
-	model := &batchOracle{}
-	b := NewBatcher(model, []string{"patients"}, BatcherConfig{MaxBatch: 8, MaxWait: time.Hour})
-	fire := make(chan func(), 1)
+func newGatedModel(inner models.BatchTranslator) *gatedModel {
+	return &gatedModel{inner: inner, started: make(chan struct{}, 1), gate: make(chan struct{})}
+}
+
+func (*gatedModel) Name() string           { return "gated" }
+func (*gatedModel) Train([]models.Example) {}
+func (m *gatedModel) hold(nl []string) {
+	if len(nl) > 0 && nl[0] == "hold" {
+		m.started <- struct{}{}
+		<-m.gate
+	}
+}
+func (m *gatedModel) Translate(nl, st []string) []string {
+	m.hold(nl)
+	return m.inner.Translate(nl, st)
+}
+func (m *gatedModel) TranslateBatch(nls [][]string, st []string) [][]string {
+	for _, nl := range nls {
+		m.hold(nl)
+	}
+	return m.inner.TranslateBatch(nls, st)
+}
+
+// scheduled is one call of a batcher's injected after: the delay it
+// asked for and the flush it would run.
+type scheduled struct {
+	d time.Duration
+	f func()
+}
+
+// manualBatcher builds a batcher whose flushes are handed to the test
+// on the returned channel instead of to a clock.
+func manualBatcher(model models.Translator, maxBatch int) (*Batcher, chan scheduled) {
+	b := NewBatcher(model, []string{"patients"}, BatcherConfig{MaxBatch: maxBatch, MaxWait: time.Hour})
+	sched := make(chan scheduled, 16)
 	b.after = func(d time.Duration, f func()) *time.Timer {
-		fire <- f
+		sched <- scheduled{d, f}
 		return time.NewTimer(time.Hour)
 	}
+	return b, sched
+}
 
-	done := make(chan []string, 1)
+type doResult struct {
+	out []string
+	err error
+}
+
+// goDo runs b.Do for question q on its own goroutine.
+func goDo(b *Batcher, ctx context.Context, q string) chan doResult {
+	ch := make(chan doResult, 1)
 	go func() {
-		out, _ := b.Do(context.Background(), []string{"q"})
-		done <- out
+		out, err := b.Do(ctx, []string{q})
+		ch <- doResult{out, err}
 	}()
-	flush := <-fire
+	return ch
+}
+
+// startHeld starts a lone "hold" request — it finds the batcher idle,
+// so it decodes at once — and returns once its decode is in flight.
+func startHeld(t *testing.T, b *Batcher, m *gatedModel) chan doResult {
+	t.Helper()
+	ch := goDo(b, context.Background(), "hold")
 	select {
-	case <-done:
-		t.Fatal("partial batch decoded before its timer fired")
-	case <-time.After(10 * time.Millisecond):
+	case <-m.started:
+	case <-time.After(2 * time.Second):
+		t.Fatal("held request never started decoding")
 	}
-	flush()
-	if out := <-done; len(out) == 0 {
-		t.Fatal("timer flush produced no decode")
-	}
-	st := b.Snapshot()
-	if st.FlushWait != 1 || st.FlushFull != 0 || st.Items != 1 {
-		t.Fatalf("stats = %+v, want one timer flush", st)
-	}
+	return ch
 }
 
-// TestBatcherCancellation: a request cancelled while queued leaves
-// immediately and the flush decodes only the live slots.
-func TestBatcherCancellation(t *testing.T) {
-	model := &batchOracle{}
-	b := NewBatcher(model, []string{"patients"}, BatcherConfig{MaxBatch: 8, MaxWait: time.Hour})
-	fire := make(chan func(), 1)
-	b.after = func(d time.Duration, f func()) *time.Timer {
-		fire <- f
-		return time.NewTimer(time.Hour)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	gone := make(chan error, 1)
-	go func() {
-		_, err := b.Do(ctx, []string{"dead"})
-		gone <- err
-	}()
-	flush := <-fire
-	live := make(chan []string, 1)
-	go func() {
-		out, _ := b.Do(context.Background(), []string{"alive"})
-		live <- out
-	}()
-	// Wait until the live request has actually joined the batch:
-	// flushing before then would strand it in a new batch whose
-	// neutralized timer never fires.
+// waitGathered waits until the gathering batch holds n requests.
+func waitGathered(t *testing.T, b *Batcher, n int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		b.mu.Lock()
-		joined := b.cur != nil && len(b.cur.items) == 2
+		got := 0
+		if b.cur != nil {
+			got = len(b.cur.items)
+		}
 		b.mu.Unlock()
-		if joined {
-			break
+		if got == n {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("live request never joined the batch")
+			t.Fatalf("gathering batch holds %d requests, want %d", got, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// nextScheduled returns the next flush the batcher scheduled.
+func nextScheduled(t *testing.T, sched chan scheduled, want time.Duration) func() {
+	t.Helper()
+	select {
+	case s := <-sched:
+		if s.d != want {
+			t.Fatalf("batcher scheduled a flush after %v, want %v", s.d, want)
+		}
+		return s.f
+	case <-time.After(2 * time.Second):
+		t.Fatalf("batcher never scheduled the %v flush", want)
+		return nil
+	}
+}
+
+// requireNothingScheduled asserts that no flush is pending.
+func requireNothingScheduled(t *testing.T, sched chan scheduled) {
+	t.Helper()
+	select {
+	case s := <-sched:
+		t.Fatalf("unexpected flush scheduled after %v", s.d)
+	default:
+	}
+}
+
+// requirePending asserts that a gathered request has not been answered.
+func requirePending(t *testing.T, what string, ch chan doResult) {
+	t.Helper()
+	select {
+	case <-ch:
+		t.Fatalf("%s answered before its batch flushed", what)
+	case <-time.After(10 * time.Millisecond):
+	}
+}
+
+// requireDecoded asserts that a request was answered with a decode.
+func requireDecoded(t *testing.T, what string, ch chan doResult) {
+	t.Helper()
+	if r := <-ch; r.err != nil || len(r.out) == 0 {
+		t.Fatalf("%s = %v, %v; want a decode", what, r.out, r.err)
+	}
+}
+
+// TestBatcherIdleDecodesAtOnce: a request that finds the batcher idle
+// decodes at once and never arms a timer, however many arrive one
+// after another.
+func TestBatcherIdleDecodesAtOnce(t *testing.T) {
+	model := &batchOracle{}
+	b, sched := manualBatcher(model, 8)
+	for i := 0; i < 3; i++ {
+		if out, err := b.Do(context.Background(), []string{"q", fmt.Sprint(i)}); err != nil || len(out) == 0 {
+			t.Fatalf("lone request %d = %v, %v", i, out, err)
+		}
+	}
+	requireNothingScheduled(t, sched)
+	st := b.Snapshot()
+	if st.Batches != 3 || st.Items != 3 || st.FlushIdle != 3 || st.FlushWait != 0 || st.FlushFull != 0 {
+		t.Fatalf("stats = %+v, want three idle flushes", st)
+	}
+	if model.single.Load() != 3 || model.batched.Load() != 0 {
+		t.Fatalf("decodes: single=%d batched=%d, want three single", model.single.Load(), model.batched.Load())
+	}
+}
+
+// TestBatcherFlushOnFinish: requests arriving during an in-flight
+// decode gather, and the batch flushes as that decode finishes —
+// scheduled through after(0) — without waiting out MaxWait.
+func TestBatcherFlushOnFinish(t *testing.T) {
+	inner := &batchOracle{}
+	model := newGatedModel(inner)
+	b, sched := manualBatcher(model, 8)
+
+	held := startHeld(t, b, model)
+	r1 := goDo(b, context.Background(), "q1")
+	timer := nextScheduled(t, sched, time.Hour)
+	r2 := goDo(b, context.Background(), "q2")
+	waitGathered(t, b, 2)
+	requirePending(t, "gathered request", r1)
+
+	close(model.gate)
+	requireDecoded(t, "held request", held)
+	onFinish := nextScheduled(t, sched, 0)
+	requirePending(t, "gathered request", r2)
+	onFinish()
+	requireDecoded(t, "gathered request 1", r1)
+	requireDecoded(t, "gathered request 2", r2)
+	timer() // the MaxWait flush lost the race and must do nothing
+	requireNothingScheduled(t, sched)
+
+	st := b.Snapshot()
+	if st.Batches != 2 || st.Items != 3 || st.FlushIdle != 2 || st.FlushWait != 0 || st.FlushFull != 0 {
+		t.Fatalf("stats = %+v, want the held decode and one gather, both idle flushes", st)
+	}
+	if inner.batched.Load() != 1 {
+		t.Fatalf("batched decodes = %d, want the gather decoded as one batch", inner.batched.Load())
+	}
+}
+
+// TestBatcherFlushWait: MaxWait still bounds the gather — when the
+// timer fires before the in-flight decode finishes, the partial batch
+// decodes alongside it.
+func TestBatcherFlushWait(t *testing.T) {
+	model := newGatedModel(&batchOracle{})
+	b, sched := manualBatcher(model, 8)
+
+	held := startHeld(t, b, model)
+	r := goDo(b, context.Background(), "q")
+	timer := nextScheduled(t, sched, time.Hour)
+	waitGathered(t, b, 1)
+	requirePending(t, "gathered request", r)
+	timer()
+	requireDecoded(t, "timer-flushed request", r)
+
+	close(model.gate)
+	requireDecoded(t, "held request", held)
+	// Both decodes have finished and nothing is gathering: no flush.
+	requireNothingScheduled(t, sched)
+	st := b.Snapshot()
+	if st.Batches != 2 || st.Items != 2 || st.FlushWait != 1 || st.FlushIdle != 1 || st.FlushFull != 0 {
+		t.Fatalf("stats = %+v, want one idle and one timer flush", st)
+	}
+}
+
+// TestBatcherFlushFull: the request that fills a gathering batch
+// flushes it at once, on its own goroutine, while the decode it
+// gathered behind is still in flight.
+func TestBatcherFlushFull(t *testing.T) {
+	inner := &batchOracle{}
+	model := newGatedModel(inner)
+	b, sched := manualBatcher(model, 4)
+
+	held := startHeld(t, b, model)
+	var rs []chan doResult
+	for i := 0; i < 4; i++ {
+		rs = append(rs, goDo(b, context.Background(), fmt.Sprint("q", i)))
+		if i == 0 {
+			nextScheduled(t, sched, time.Hour)
+		}
+	}
+	for i, r := range rs {
+		requireDecoded(t, fmt.Sprint("row ", i), r)
+	}
+	if inner.batched.Load() != 1 {
+		t.Fatalf("batched decodes = %d, want one full batch", inner.batched.Load())
+	}
+	close(model.gate)
+	requireDecoded(t, "held request", held)
+	requireNothingScheduled(t, sched)
+	st := b.Snapshot()
+	if st.Batches != 2 || st.Items != 5 || st.FlushFull != 1 || st.FlushIdle != 1 || st.FlushWait != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.MeanBatch != 2.5 {
+		t.Fatalf("mean batch = %v, want 2.5", st.MeanBatch)
+	}
+}
+
+// TestBatcherCancellation: a request cancelled while gathered leaves
+// immediately and the flush decodes only the live slots.
+func TestBatcherCancellation(t *testing.T) {
+	model := newGatedModel(&batchOracle{})
+	b, sched := manualBatcher(model, 8)
+
+	held := startHeld(t, b, model)
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := goDo(b, ctx, "dead")
+	nextScheduled(t, sched, time.Hour)
+	live := goDo(b, context.Background(), "alive")
+	waitGathered(t, b, 2)
 
 	cancel()
-	if err := <-gone; err != context.Canceled {
-		t.Fatalf("cancelled Do = %v, want context.Canceled", err)
+	if r := <-gone; r.err != context.Canceled {
+		t.Fatalf("cancelled Do = %v, want context.Canceled", r.err)
 	}
-	flush()
-	if out := <-live; len(out) == 0 {
-		t.Fatal("live batchmate lost its decode")
-	}
+	close(model.gate)
+	requireDecoded(t, "held request", held)
+	nextScheduled(t, sched, 0)()
+	requireDecoded(t, "live batchmate", live)
 	st := b.Snapshot()
-	if st.Cancelled != 1 || st.Items != 1 {
-		t.Fatalf("stats = %+v, want 1 cancelled + 1 live item", st)
+	if st.Cancelled != 1 || st.Items != 2 {
+		t.Fatalf("stats = %+v, want 1 cancelled + 2 live items", st)
 	}
 	// A pre-cancelled context never joins a batch at all.
 	if _, err := b.Do(ctx, []string{"x"}); err != context.Canceled {
@@ -233,26 +396,35 @@ func TestBatcherCancellation(t *testing.T) {
 	}
 }
 
-// TestBatcherPanicContained: a panicking model fails every batchmate
-// with an error instead of killing their goroutines.
+// TestBatcherPanicContained: a panicking model fails the lone request
+// and every batchmate with an error instead of killing their
+// goroutines, and the batcher keeps serving afterwards.
 func TestBatcherPanicContained(t *testing.T) {
-	b := NewBatcher(panicTranslator{}, []string{"patients"}, BatcherConfig{MaxBatch: 2, MaxWait: time.Hour})
-	b.after = func(d time.Duration, f func()) *time.Timer { return time.NewTimer(time.Hour) }
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = b.Do(context.Background(), []string{"q"})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("batchmate %d err = %v, want contained panic", i, err)
+	model := newGatedModel(panicTranslator{})
+	b, sched := manualBatcher(model, 8)
+	requirePanicked := func(what string, r doResult) {
+		t.Helper()
+		if r.err == nil || !strings.Contains(r.err.Error(), "panicked") {
+			t.Fatalf("%s err = %v, want contained panic", what, r.err)
 		}
 	}
+
+	held := startHeld(t, b, model)
+	r1 := goDo(b, context.Background(), "q1")
+	nextScheduled(t, sched, time.Hour)
+	r2 := goDo(b, context.Background(), "q2")
+	waitGathered(t, b, 2)
+	close(model.gate)
+	requirePanicked("held request", <-held)
+	nextScheduled(t, sched, 0)()
+	requirePanicked("batchmate 1", <-r1)
+	requirePanicked("batchmate 2", <-r2)
+
+	// The panics retired their decodes: the next lone request finds
+	// the batcher idle again.
+	out, err := b.Do(context.Background(), []string{"q3"})
+	requirePanicked("lone request", doResult{out, err})
+	requireNothingScheduled(t, sched)
 }
 
 // panicTranslator panics on every decode path.

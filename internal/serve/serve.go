@@ -92,8 +92,10 @@ type Config struct {
 	CacheShards int
 	// BatchMax enables cross-request microbatching when >= 2: up to
 	// BatchMax concurrent cache-missing decodes share one batched
-	// forward pass, with partial batches flushed after BatchWait
-	// (0 = the batcher default, 2ms). 0 or 1 disables batching.
+	// forward pass. A miss that finds no decode in flight decodes at
+	// once; one that arrives behind an in-flight decode gathers for at
+	// most BatchWait (0 = the batcher default, 2ms). 0 or 1 disables
+	// batching.
 	BatchMax  int
 	BatchWait time.Duration
 	// Critic enables the execution-guided validation-and-repair layer

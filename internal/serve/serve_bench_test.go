@@ -177,9 +177,10 @@ func benchVariants() []struct {
 
 // BenchmarkServe sweeps the inference hot path: cache on/off × batch
 // size × client concurrency, reporting QPS and latency percentiles.
-// This is the source of BENCH_serve.json:
+// This is the source of BENCH_serve.json (each row the median of the
+// five runs):
 //
-//	go test -bench BenchmarkServe -benchtime 300x -run '^$' ./internal/serve/
+//	go test -bench BenchmarkServe -benchtime 300x -count 5 -run '^$' ./internal/serve/
 func BenchmarkServe(b *testing.B) {
 	model := benchSeq2Seq()
 	questions := benchWorkload()
@@ -261,15 +262,25 @@ func TestServeBenchGate(t *testing.T) {
 	// Critic overhead: every cold decode additionally pays the static
 	// checks and a sandboxed dry-run. The ratio over the critic-off
 	// cold p50 is gated so the validation layer cannot quietly eat
-	// the hot path.
-	criticCold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16, Critic: true}, questions, 120, 1)
-	if criticCold.Failed > 0 {
-		t.Fatalf("failed requests with critic on: %d", criticCold.Failed)
+	// the hot path. The critic's cost is fixed while the decode it is
+	// divided by is small, so one back-to-back pair swings with
+	// machine noise: critic-off and critic-on cold runs alternate in
+	// paired rounds, and the median of the per-round ratios is gated.
+	const criticRounds = 5
+	ratios := make([]float64, criticRounds)
+	for r := range ratios {
+		off := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, questions, 120, 1)
+		on := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16, Critic: true}, questions, 120, 1)
+		if off.Failed+on.Failed > 0 {
+			t.Fatalf("failed requests in critic round %d: off=%d on=%d", r, off.Failed, on.Failed)
+		}
+		ratios[r] = on.P50NS / off.P50NS
 	}
-	overhead := criticCold.P50NS / cold.P50NS
+	sort.Float64s(ratios)
+	overhead := ratios[criticRounds/2]
 	if ceil := base.Gates.CriticP50OverheadMax * (1 + tol); overhead > ceil {
-		t.Errorf("critic p50 overhead = %.2fx (on %.0fns / off %.0fns), above gate %.2fx",
-			overhead, criticCold.P50NS, cold.P50NS, ceil)
+		t.Errorf("critic p50 overhead = %.2fx (median of paired rounds %.2f), above gate %.2fx",
+			overhead, ratios, ceil)
 	}
 
 	// Batching efficacy: 8 clients, distinct shapes per request, no
@@ -306,6 +317,6 @@ func TestServeBenchGate(t *testing.T) {
 	if floor := base.Gates.BatchMeanMin * (1 - tol); bst.MeanBatch < floor {
 		t.Errorf("mean batch = %.2f, below gate %.2f (stats %+v)", bst.MeanBatch, floor, bst)
 	}
-	t.Logf("cache-hit speedup %.1fx (cold p50 %.0fns, hit p50 %.0fns); critic p50 overhead %.2fx; mean batch %.2f",
-		speedup, cold.P50NS, warm.P50NS, overhead, bst.MeanBatch)
+	t.Logf("cache-hit speedup %.1fx (cold p50 %.0fns, hit p50 %.0fns); critic p50 overhead %.2fx (paired rounds %.2f); mean batch %.2f",
+		speedup, cold.P50NS, warm.P50NS, overhead, ratios, bst.MeanBatch)
 }

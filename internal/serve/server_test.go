@@ -332,6 +332,11 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	if hot.Batcher.MaxBatch != 4 || hot.Batcher.Batches != 1 || hot.Batcher.Items != 1 || hot.Batcher.MeanBatch != 1 {
 		t.Fatalf("batcher section = %+v, want one singleton flush", hot.Batcher)
 	}
+	// A lone miss finds the batcher idle: it decodes at once, with no
+	// timer flush.
+	if hot.Batcher.FlushIdle != 1 || hot.Batcher.FlushWait != 0 || hot.Batcher.FlushFull != 0 {
+		t.Fatalf("batcher flush reasons = %+v, want the one idle flush", hot.Batcher)
+	}
 	if hotRow := hot.Tenants["patients"]; hotRow.Cache == nil || hotRow.Cache.Hits != 1 {
 		t.Fatalf("tenant cache stats = %+v, want the hit mirrored per tenant", hot.Tenants["patients"])
 	}
