@@ -323,7 +323,9 @@ func Build(ctx context.Context, sp Spec) (*Unit, error) {
 			return nil, err
 		}
 		sp.logf("pipeline synthesized %d NL-SQL pairs", len(ps))
-		exs = models.PairExamples(ps, s)
+		if exs, err = models.PairExamplesCtx(ctx, ps, s); err != nil {
+			return nil, err
+		}
 		pairs = len(ps)
 	}
 	m, err := ModelFor(sp)

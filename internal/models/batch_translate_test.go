@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func scalarGreedy(m *Seq2Seq, nl, schemaToks []string) []string {
 	var out []string
 	for step := 0; step < m.cfg.MaxOutLen; step++ {
 		st, hNew := m.forwardStep(prevID, h, es)
-		tok := m.pickToken(st.pv, st.pgen, st.alpha, es.toks)
+		tok := m.pickTokenMap(st.pv, st.pgen, st.alpha, es.toks)
 		if tok == tokens.EosToken {
 			break
 		}
@@ -48,6 +49,43 @@ func scalarGreedy(m *Seq2Seq, nl, schemaToks []string) []string {
 		prevID = m.vocab.ID(tok)
 	}
 	return out
+}
+
+// pickTokenMap is the map-based greedy argmax the copy plan replaced,
+// kept so scalarGreedy stays an oracle independent of the production
+// mixture: pv is the vocabulary softmax, pgen the generate-vs-copy
+// mixture weight, alpha the attention over inputToks.
+func (m *Seq2Seq) pickTokenMap(pv []float64, pgen float64, alpha []float64, inputToks []string) string {
+	// Copy mass per distinct input token.
+	copyMass := map[string]float64{}
+	for i, tok := range inputToks {
+		copyMass[tok] += alpha[i]
+	}
+	bestTok := tokens.EosToken
+	bestP := math.Inf(-1)
+	for id, pvID := range pv {
+		p := pgen * pvID
+		w := m.vocab.Word(id)
+		if cm, ok := copyMass[w]; ok {
+			p += (1 - pgen) * cm
+		}
+		if id == tokens.PadID || id == tokens.BosID || id == tokens.UnkID || w == tokens.SepToken {
+			continue
+		}
+		if p > bestP {
+			bestP, bestTok = p, w
+		}
+	}
+	for _, tok := range sortedKeys(copyMass) {
+		if m.vocab.Has(tok) || tok == tokens.SepToken {
+			continue // already counted through the vocabulary loop
+		}
+		p := (1 - pgen) * copyMass[tok]
+		if p > bestP {
+			bestP, bestTok = p, tok
+		}
+	}
+	return bestTok
 }
 
 // unseenSchema is a database the fixture model never trained on: its

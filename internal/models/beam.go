@@ -21,6 +21,8 @@ func (m *Seq2Seq) TranslateBeam(nl, schemaToks []string, width int) [][]string {
 	}
 	input := InputSequence(nl, schemaToks)
 	es := m.encode(input)
+	cp := newCopyPlan(m.vocab, input, es.ids)
+	mix := make([]float64, cp.size())
 
 	type beam struct {
 		toks   []string
@@ -36,11 +38,13 @@ func (m *Seq2Seq) TranslateBeam(nl, schemaToks []string, width int) [][]string {
 		var expanded []beam
 		for _, bm := range beams {
 			st, hNew := m.forwardStep(bm.prevID, bm.h, es)
-			for _, cand := range m.topTokens(st, es, width+1) {
+			clear(mix)
+			cp.mixture(st.pv, st.pgen, st.alpha, mix)
+			for _, cand := range m.topTokens(cp, mix, width+1) {
 				nb := beam{
 					logp:   bm.logp + math.Log(math.Max(cand.p, 1e-12)),
 					h:      hNew,
-					prevID: m.vocab.ID(cand.tok),
+					prevID: cp.nextID(cand.c),
 				}
 				if cand.tok == tokens.EosToken {
 					nb.toks = bm.toks
@@ -99,44 +103,31 @@ func joinKey(toks []string) string {
 	return out
 }
 
-// scored token candidate.
+// scored token candidate: the token, its copy-plan candidate index,
+// and its mixture probability.
 type tokCand struct {
 	tok string
+	c   int
 	p   float64
 }
 
-// topTokens returns the k most probable next tokens of the mixture
-// distribution (vocabulary + copy), excluding structural specials
-// other than EOS.
-func (m *Seq2Seq) topTokens(st *decStep, es *encState, k int) []tokCand {
-	copyMass := map[string]float64{}
-	for i, tok := range es.toks {
-		copyMass[tok] += st.alpha[i]
-	}
-	var cands []tokCand
-	for id, pv := range st.pv {
-		if id == tokens.PadID || id == tokens.BosID || id == tokens.UnkID {
-			continue
+// topTokens returns the k most probable next tokens of a mixture
+// vector over cp's candidates (see copyPlan.mixture), excluding
+// structural specials other than EOS. Ties keep scan order: vocabulary
+// ids ascending, then out-of-vocabulary tokens.
+func (m *Seq2Seq) topTokens(cp *copyPlan, mix []float64, k int) []tokCand {
+	cands := make([]tokCand, 0, len(mix))
+	for c, p := range mix {
+		if !skipCandidate(c) {
+			cands = append(cands, tokCand{c: c, p: p})
 		}
-		w := m.vocab.Word(id)
-		if w == tokens.SepToken {
-			continue
-		}
-		p := st.pgen * pv
-		if cm, ok := copyMass[w]; ok {
-			p += (1 - st.pgen) * cm
-		}
-		cands = append(cands, tokCand{tok: w, p: p})
-	}
-	for _, tok := range sortedKeys(copyMass) {
-		if m.vocab.Has(tok) || tok == tokens.SepToken {
-			continue
-		}
-		cands = append(cands, tokCand{tok: tok, p: (1 - st.pgen) * copyMass[tok]})
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].p > cands[j].p })
 	if len(cands) > k {
 		cands = cands[:k]
+	}
+	for i := range cands {
+		cands[i].tok = cp.token(m.vocab, cands[i].c)
 	}
 	return cands
 }

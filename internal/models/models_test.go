@@ -2,6 +2,9 @@ package models
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -271,5 +274,33 @@ func TestSeq2SeqLossDecreases(t *testing.T) {
 	}
 	if l1 > l0/2 {
 		t.Fatalf("loss reduction too small: %.2f -> %.2f", l0, l1)
+	}
+}
+
+// TestPairExamplesCtxGolden: the parallel conversion returns exactly
+// what the sequential PairExamples returns — same examples, same
+// order, the same pairs skipped — across several conversion chunks,
+// and nothing once its context is cancelled.
+func TestPairExamplesCtxGolden(t *testing.T) {
+	s := patientsSchema()
+	var pairs []core.Pair
+	for i := 0; i < 700; i++ {
+		p := core.Pair{NL: fmt.Sprintf("show the name of patient %d with age @PATIENTS.AGE", i), SQL: fmt.Sprintf("SELECT name FROM patients WHERE age = %d", i)}
+		if i%7 == 3 {
+			p.SQL = "NOT VALID SQL"
+		}
+		pairs = append(pairs, p)
+	}
+	got, err := PairExamplesCtx(context.Background(), pairs, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := PairExamples(pairs, s); len(want) != 600 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("PairExamplesCtx returned %d examples, PairExamples %d (want 600, equal)", len(got), len(want))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if exs, err := PairExamplesCtx(ctx, pairs, s); !errors.Is(err, context.Canceled) || exs != nil {
+		t.Fatalf("cancelled PairExamplesCtx = %d examples, %v; want none, context.Canceled", len(exs), err)
 	}
 }

@@ -9,9 +9,16 @@ package models
 //
 // Ties are broken by the lowest stored index, so the answer depends
 // only on the training order, never on map iteration or scheduling.
+//
+// The token sets are stored inverted: every distinct NL token is
+// interned once and owns a posting list of the examples containing it,
+// so a question counts intersections only for the examples its tokens
+// touch instead of probing one set per stored example.
 type NearestNeighbor struct {
 	examples []Example
-	sets     []map[string]bool
+	ids      map[string]int32 // interned NL token -> token id
+	postings [][]int32        // token id -> ascending indices of the examples containing it
+	sizes    []int            // distinct NL tokens per example
 }
 
 // NewNearestNeighbor returns an untrained nearest-neighbor matcher.
@@ -20,58 +27,70 @@ func NewNearestNeighbor() *NearestNeighbor { return &NearestNeighbor{} }
 // Name implements Translator.
 func (m *NearestNeighbor) Name() string { return "template-nn" }
 
-// Train implements Translator: it stores the examples and precomputes
+// Train implements Translator: it stores the examples and indexes
 // their NL token sets.
 func (m *NearestNeighbor) Train(examples []Example) {
 	m.examples = append([]Example(nil), examples...)
-	m.sets = make([]map[string]bool, len(m.examples))
+	m.ids = map[string]int32{}
+	m.postings = nil
+	m.sizes = make([]int, len(m.examples))
 	for i, ex := range m.examples {
-		m.sets[i] = tokenSet(ex.NL)
+		for _, t := range ex.NL {
+			id, ok := m.ids[t]
+			if !ok {
+				id = int32(len(m.postings))
+				m.ids[t] = id
+				m.postings = append(m.postings, nil)
+			}
+			// Examples are indexed in order, so a token repeated within
+			// this example finds the example already at its list's tail.
+			p := m.postings[id]
+			if len(p) > 0 && p[len(p)-1] == int32(i) {
+				continue
+			}
+			m.postings[id] = append(p, int32(i))
+			m.sizes[i]++
+		}
 	}
 }
 
 // Translate implements Translator: the SQL of the nearest stored
 // example by Jaccard similarity of NL token sets, or nil when nothing
-// was stored or the question is empty.
+// was stored, the question is empty, or no example shares a token with
+// it.
 func (m *NearestNeighbor) Translate(nl, _ []string) []string {
-	q := tokenSet(nl)
-	if len(q) == 0 || len(m.examples) == 0 {
+	if len(nl) == 0 || len(m.examples) == 0 {
 		return nil
 	}
-	best, bestSim := -1, -1.0
-	for i, s := range m.sets {
-		sim := jaccard(q, s)
-		if sim > bestSim {
+	// Every distinct question token widens the union; only the indexed
+	// ones can intersect.
+	seen := make(map[string]bool, len(nl))
+	inter := make([]int32, len(m.examples))
+	for _, t := range nl {
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
+		if id, ok := m.ids[t]; ok {
+			for _, ex := range m.postings[id] {
+				inter[ex]++
+			}
+		}
+	}
+	q := len(seen)
+	// Only examples sharing a token have a positive similarity, and a
+	// best similarity of 0 answers nil, so the others never matter.
+	best, bestSim := -1, 0.0
+	for i, n := range inter {
+		if n == 0 {
+			continue
+		}
+		if sim := float64(n) / float64(q+m.sizes[i]-int(n)); sim > bestSim {
 			best, bestSim = i, sim
 		}
 	}
-	if best < 0 || bestSim <= 0 {
+	if best < 0 {
 		return nil
 	}
 	return append([]string(nil), m.examples[best].SQL...)
-}
-
-func tokenSet(toks []string) map[string]bool {
-	s := make(map[string]bool, len(toks))
-	for _, t := range toks {
-		s[t] = true
-	}
-	return s
-}
-
-func jaccard(a, b map[string]bool) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range a {
-		if b[t] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }

@@ -50,6 +50,7 @@ func LoadSeq2Seq(r io.Reader) (*Seq2Seq, error) {
 	if err := restoreParams(m.ps.Mats(), m.ps.Names(), in.Mats); err != nil {
 		return nil, err
 	}
+	m.refreshTables()
 	return m, nil
 }
 

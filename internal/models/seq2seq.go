@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"repro/internal/neural"
 	"repro/internal/tokens"
@@ -61,17 +63,30 @@ func DefaultSeq2SeqConfig() Seq2SeqConfig {
 // positions. The copy path lets the model emit schema tokens of
 // databases never seen in training — the mechanism that makes the
 // translator usable in the Spider-style cross-schema evaluation.
+//
+// Weights and gate tables. Greedy decoding reads each GRU's input-gate
+// products from a per-token table (neural.GateTable) instead of
+// multiplying the embedding row every step. The tables are derived
+// from the weights, so every method that finalizes weights —
+// TrainContext (on every return, including cancellation and failed
+// resumes), LoadSeq2Seq and LoadInto — rebuilds them before it
+// returns. Between those calls weights and tables are read-only, which
+// is what lets any number of concurrent decodes share them with no
+// lock; a caller must not run a decode concurrently with one of those
+// calls on the same model.
 type Seq2Seq struct {
-	cfg   Seq2SeqConfig
-	vocab *tokens.Vocab
-	ps    *neural.ParamSet
-	emb   *neural.Embedding
-	enc   *neural.GRU
-	dec   *neural.GRU
-	wc    *neural.Linear // comb = tanh(Wc [h_dec; ctx])
-	wo    *neural.Linear // vocabulary logits
-	wg    *neural.Linear // p_gen scalar
-	rng   *rand.Rand
+	cfg    Seq2SeqConfig
+	vocab  *tokens.Vocab
+	ps     *neural.ParamSet
+	emb    *neural.Embedding
+	enc    *neural.GRU
+	dec    *neural.GRU
+	wc     *neural.Linear // comb = tanh(Wc [h_dec; ctx])
+	wo     *neural.Linear // vocabulary logits
+	wg     *neural.Linear // p_gen scalar
+	encTab *neural.GateTable
+	decTab *neural.GateTable
+	rng    *rand.Rand
 }
 
 // NewSeq2Seq returns an untrained model; parameters are allocated at
@@ -135,6 +150,7 @@ func (m *Seq2Seq) TrainContext(ctx context.Context, examples []Example, opts Tra
 	// that replay, not serialized RNG internals, is what puts the
 	// generator back in position after a resume.
 	m.build(m.vocab.Size())
+	defer m.refreshTables()
 	opt := neural.NewAdam(m.ps, m.cfg.LR)
 
 	sched := &trainSchedule{
@@ -472,40 +488,102 @@ func (m *Seq2Seq) Translate(nl, schemaToks []string) []string {
 	return m.TranslateBatch([][]string{nl}, schemaToks)[0]
 }
 
-// pickToken is the greedy decoding argmax: pv is the vocabulary
-// softmax, pgen the generate-vs-copy mixture weight, alpha the
-// attention over inputToks.
-func (m *Seq2Seq) pickToken(pv []float64, pgen float64, alpha []float64, inputToks []string) string {
-	// Copy mass per distinct input token.
-	copyMass := map[string]float64{}
-	for i, tok := range inputToks {
-		copyMass[tok] += alpha[i]
+// copyPlan resolves one input sequence against the vocabulary once per
+// request, so every decode step mixes the copy distribution into the
+// vocabulary softmax with slice arithmetic rather than string maps. A
+// candidate index c names an output token: c < V is vocabulary id c,
+// c >= V the (c-V)-th distinct out-of-vocabulary input token in sorted
+// order.
+type copyPlan struct {
+	v    int      // vocabulary size
+	slot []int    // input position -> candidate index
+	oov  []string // distinct out-of-vocabulary input tokens, sorted
+}
+
+// newCopyPlan builds the plan of input, whose vocabulary encoding is
+// ids.
+func newCopyPlan(vocab *tokens.Vocab, input []string, ids []int) *copyPlan {
+	cp := &copyPlan{v: vocab.Size(), slot: slices.Clone(ids)}
+	oov := func(i int) bool { return ids[i] == tokens.UnkID && input[i] != tokens.UnkToken }
+	for i := range ids {
+		if oov(i) {
+			cp.oov = append(cp.oov, input[i])
+		}
 	}
-	bestTok := tokens.EosToken
-	bestP := math.Inf(-1)
+	sort.Strings(cp.oov)
+	cp.oov = slices.Compact(cp.oov)
+	for i := range ids {
+		if oov(i) {
+			cp.slot[i] = cp.v + sort.SearchStrings(cp.oov, input[i])
+		}
+	}
+	return cp
+}
+
+// size is the number of candidates: the vocabulary, then the
+// out-of-vocabulary input tokens.
+func (cp *copyPlan) size() int { return cp.v + len(cp.oov) }
+
+// mixture writes the output distribution over every candidate into the
+// zeroed dst of length size(): pgen·pv[id] plus (1-pgen)·copy mass for
+// vocabulary ids, (1-pgen)·copy mass for out-of-vocabulary tokens. Copy
+// mass sums alpha in input-position order. An id absent from the input
+// adds (1-pgen)·0 = +0, which leaves p bit-for-bit unchanged: pgen and
+// pv lie in [0, 1], so p is never -0, and NaN stays NaN.
+func (cp *copyPlan) mixture(pv []float64, pgen float64, alpha, dst []float64) {
+	for i, c := range cp.slot {
+		dst[c] += alpha[i]
+	}
 	for id, pvID := range pv {
 		p := pgen * pvID
-		w := m.vocab.Word(id)
-		if cm, ok := copyMass[w]; ok {
-			p += (1 - pgen) * cm
-		}
-		if id == tokens.PadID || id == tokens.BosID || id == tokens.UnkID || w == tokens.SepToken {
+		p += (1 - pgen) * dst[id]
+		dst[id] = p
+	}
+	for c := cp.v; c < len(dst); c++ {
+		dst[c] = (1 - pgen) * dst[c]
+	}
+}
+
+// token returns the output token of candidate c.
+func (cp *copyPlan) token(vocab *tokens.Vocab, c int) string {
+	if c < cp.v {
+		return vocab.Word(c)
+	}
+	return cp.oov[c-cp.v]
+}
+
+// nextID is the decoder input id after emitting candidate c: its
+// vocabulary id, or <unk> for a copied out-of-vocabulary token.
+func (cp *copyPlan) nextID(c int) int {
+	if c < cp.v {
+		return c
+	}
+	return tokens.UnkID
+}
+
+// skipCandidate reports whether candidate c is a structural special
+// decoding never emits: <pad>, <bos>, <unk> or <sep>. Every vocabulary
+// has at least the five specials, so no out-of-vocabulary index
+// collides with these ids.
+func skipCandidate(c int) bool {
+	return c == tokens.PadID || c == tokens.BosID || c == tokens.UnkID || c == tokens.SepID
+}
+
+// pickToken is the greedy decoding argmax over a mixture vector: the
+// candidates in scan order (vocabulary ids ascending, then the
+// out-of-vocabulary tokens), the first strict maximum winning, <eos>
+// when no candidate beats -Inf.
+func pickToken(mix []float64) int {
+	best, bestP := tokens.EosID, math.Inf(-1)
+	for c, p := range mix {
+		if skipCandidate(c) {
 			continue
 		}
 		if p > bestP {
-			bestP, bestTok = p, w
+			best, bestP = c, p
 		}
 	}
-	for _, tok := range sortedKeys(copyMass) {
-		if m.vocab.Has(tok) || tok == tokens.SepToken {
-			continue // already counted through the vocabulary loop
-		}
-		p := (1 - pgen) * copyMass[tok]
-		if p > bestP {
-			bestP, bestTok = p, tok
-		}
-	}
-	return bestTok
+	return best
 }
 
 // Save writes the model weights (vocabulary must be rebuilt by
@@ -513,5 +591,18 @@ func (m *Seq2Seq) pickToken(pv []float64, pgen float64, alpha []float64, inputTo
 func (m *Seq2Seq) Save(w io.Writer) error { return m.ps.Save(w) }
 
 // LoadInto restores weights into a model already built with the same
-// vocabulary and configuration.
-func (m *Seq2Seq) LoadInto(r io.Reader) error { return m.ps.Load(r) }
+// vocabulary and configuration, and rebuilds the gate tables from
+// them.
+func (m *Seq2Seq) LoadInto(r io.Reader) error {
+	err := m.ps.Load(r)
+	m.refreshTables()
+	return err
+}
+
+// refreshTables rebuilds both GRUs' gate tables from the current
+// weights. Every method that finalizes weights calls it before
+// returning; see the contract on Seq2Seq.
+func (m *Seq2Seq) refreshTables() {
+	m.encTab = m.enc.BuildGateTable(m.emb)
+	m.decTab = m.dec.BuildGateTable(m.emb)
+}

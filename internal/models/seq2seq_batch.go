@@ -53,7 +53,9 @@ var _ BatchTranslator = (*Seq2Seq)(nil)
 // TranslateBatch implements BatchTranslator with batched greedy
 // decoding: the k inputs advance in lockstep through arena-backed
 // GEMM kernels (neural.StepBatch / ForwardBatch), so each weight row
-// is swept once per step for the whole batch. The encoder sorts rows
+// is swept once per step for the whole batch. The GRUs' input-gate
+// terms come from the model's gate tables, and the generate/copy
+// mixture runs over each row's copy plan. The encoder sorts rows
 // by input length (longest first) so the rows still consuming tokens
 // at timestep t always form a batch prefix; the decoder keeps a
 // shrinking active set, with rows leaving the batch at their EOS.
@@ -74,12 +76,13 @@ func (m *Seq2Seq) TranslateBatch(nls [][]string, schemaToks []string) [][]string
 	arena := neural.NewArena()
 
 	// Prepare per-row inputs.
-	inputs := make([][]string, k)
+	plans := make([]*copyPlan, k)
 	idSeqs := make([][]int, k)
 	maxT, total := 0, 0
 	for r, nl := range nls {
-		inputs[r] = InputSequence(nl, schemaToks)
-		idSeqs[r] = m.vocab.Encode(inputs[r])
+		input := InputSequence(nl, schemaToks)
+		idSeqs[r] = m.vocab.Encode(input)
+		plans[r] = newCopyPlan(m.vocab, input, idSeqs[r])
 		if len(idSeqs[r]) > maxT {
 			maxT = len(idSeqs[r])
 		}
@@ -120,8 +123,7 @@ func (m *Seq2Seq) TranslateBatch(nls [][]string, schemaToks []string) [][]string
 		for s := 0; s < active; s++ {
 			prev[s] = idSeqs[order[s]][t]
 		}
-		xb := m.emb.LookupBatch(prev[:active], arena)
-		hn := m.enc.StepBatch(xb, h.Prefix(active), arena)
+		hn := m.enc.StepBatch(prev[:active], m.encTab, h.Prefix(active), arena)
 		for s := 0; s < active; s++ {
 			copy(states[order[s]][t], hn.Row(s))
 			copy(h.Row(s), hn.Row(s))
@@ -151,12 +153,11 @@ func (m *Seq2Seq) TranslateBatch(nls [][]string, schemaToks []string) [][]string
 		for s, rs := range active {
 			prev[s] = rs.prev
 		}
-		xb := m.emb.LookupBatch(prev[:na], arena)
 		hb := arena.Batch(na, hid)
 		for s, rs := range active {
 			copy(hb.Row(s), rs.h)
 		}
-		hn := m.dec.StepBatch(xb, hb, arena)
+		hn := m.dec.StepBatch(prev[:na], m.decTab, hb, arena)
 
 		// Luong dot attention and [h;ctx] assembly, per row (ragged
 		// encoder lengths keep this part sequential; it is O(T·hid),
@@ -192,13 +193,16 @@ func (m *Seq2Seq) TranslateBatch(nls [][]string, schemaToks []string) [][]string
 		next := active[:0]
 		for s, rs := range active {
 			pgen := 1.0 / (1.0 + math.Exp(-gb.Row(s)[0]))
-			tok := m.pickToken(pv.Row(s), pgen, alphas[s], inputs[rs.r])
-			if tok == tokens.EosToken {
+			cp := plans[rs.r]
+			mix := arena.Vec(cp.size())
+			cp.mixture(pv.Row(s), pgen, alphas[s], mix)
+			c := pickToken(mix)
+			if c == tokens.EosID {
 				continue // row finished; it leaves the batch
 			}
-			out[rs.r] = append(out[rs.r], tok)
+			out[rs.r] = append(out[rs.r], cp.token(m.vocab, c))
 			copy(rs.h, hn.Row(s))
-			rs.prev = m.vocab.ID(tok)
+			rs.prev = cp.nextID(c)
 			next = append(next, rs)
 		}
 		active = next

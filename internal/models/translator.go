@@ -12,10 +12,12 @@
 package models
 
 import (
+	"context"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/tokens"
@@ -74,17 +76,48 @@ func PairExamples(pairs []core.Pair, s *schema.Schema) []Example {
 	st := SchemaTokens(s)
 	out := make([]Example, 0, len(pairs))
 	for _, p := range pairs {
-		q, err := sqlast.Parse(p.SQL)
-		if err != nil {
-			continue
+		if ex, ok := pairExample(p, st); ok {
+			out = append(out, ex)
 		}
-		out = append(out, Example{
-			NL:     tokens.Tokenize(p.NL),
-			SQL:    NormalizeSQLTokens(q.Tokens()),
-			Schema: st,
-		})
 	}
 	return out
+}
+
+// PairExamplesCtx is PairExamples converting chunks of pairs in
+// parallel into index-aligned slots, so the result is the same at any
+// worker count. Cancellation is observed between chunks; a cancelled
+// conversion returns the context's error and no examples.
+func PairExamplesCtx(ctx context.Context, pairs []core.Pair, s *schema.Schema) ([]Example, error) {
+	st := SchemaTokens(s)
+	out := make([]Example, len(pairs))
+	ok := make([]bool, len(pairs))
+	const chunk = 256
+	err := par.MapCtx(ctx, 0, (len(pairs)+chunk-1)/chunk, func(c int) {
+		for i := c * chunk; i < min((c+1)*chunk, len(pairs)); i++ {
+			out[i], ok[i] = pairExample(pairs[i], st)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Compact in place: slot i moves only to an index <= i.
+	kept := out[:0]
+	for i, ex := range out {
+		if ok[i] {
+			kept = append(kept, ex)
+		}
+	}
+	return kept, nil
+}
+
+// pairExample converts one pair given its schema's tokens; ok is false
+// when the pair's SQL does not parse.
+func pairExample(p core.Pair, st []string) (Example, bool) {
+	q, err := sqlast.Parse(p.SQL)
+	if err != nil {
+		return Example{}, false
+	}
+	return Example{NL: tokens.Tokenize(p.NL), SQL: NormalizeSQLTokens(q.Tokens()), Schema: st}, true
 }
 
 // NormalizeSQLTokens lower-cases identifiers, keeping keywords

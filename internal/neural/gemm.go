@@ -202,26 +202,65 @@ func (a *Arena) Batch(k, n int) *Batch {
 // Reset.
 func (a *Arena) Reset() { a.next, a.hnext = 0, 0 }
 
-// StepBatch computes one GRU step for a batch of examples: given
-// inputs X (K×In) and hidden states H (K×Hid) it returns H' (K×Hid)
-// drawn from the arena. Row b of the result is bit-identical to
-// Forward(X.Row(b), H.Row(b)) — the kernels below replay the exact
-// per-gate accumulation order of the sequential step (W-term, then
-// U-term, then bias, then the activation). No backprop cache is built;
-// this is the inference-only path.
-func (g *GRU) StepBatch(x, h *Batch, a *Arena) *Batch {
-	hid := g.Hid
-	k := x.K
+// GateTable holds a GRU's input-gate products for every token of a
+// vocabulary: row id of Z, R and H is Wz·e, Wr·e and Wh·e for the
+// embedding row e of token id. Both GRUs of the seq2seq translator are
+// fed embedding rows, so these products depend on the token id alone —
+// one third of a step's multiply-adds, precomputed once per set of
+// weights instead of once per step. A table is a snapshot: it must be
+// rebuilt whenever the GRU's W matrices or the embedding change, and
+// it is read-only afterwards, so concurrent decodes share it freely.
+type GateTable struct {
+	V, Hid  int
+	Z, R, H []float64 // V×Hid, row-major
+}
 
-	az := a.Batch(k, hid)
-	g.Wz.MulBatch(x, az)
+// BuildGateTable computes g's input-gate products for every row of the
+// embedding e. Each row holds exactly the values MulBatch stores for
+// that embedding row (the kernel's per-row result does not depend on
+// the batch around it), so a step fed from the table is bit-identical
+// to one fed the embedding rows.
+func (g *GRU) BuildGateTable(e *Embedding) *GateTable {
+	v, hid := e.E.R, g.Hid
+	t := &GateTable{V: v, Hid: hid, Z: make([]float64, v*hid), R: make([]float64, v*hid), H: make([]float64, v*hid)}
+	g.Wz.mulRows(e.E.W, e.Dim, v, t.Z, hid, false)
+	g.Wr.mulRows(e.E.W, e.Dim, v, t.R, hid, false)
+	g.Wh.mulRows(e.E.W, e.Dim, v, t.H, hid, false)
+	return t
+}
+
+// gather copies the table rows of ids into an arena batch, clamping
+// out-of-range ids to 0 exactly as Embedding.Lookup does.
+func (t *GateTable) gather(rows []float64, ids []int, a *Arena) *Batch {
+	out := a.Batch(len(ids), t.Hid)
+	for b, id := range ids {
+		if id < 0 || id >= t.V {
+			id = 0
+		}
+		copy(out.Row(b), rows[id*t.Hid:(id+1)*t.Hid])
+	}
+	return out
+}
+
+// StepBatch computes one GRU step for a batch of examples whose inputs
+// are the embeddings of token ids: given the ids, the GRU's gate table
+// over that embedding, and hidden states H (K×Hid), it returns H'
+// (K×Hid) drawn from the arena. Row b of the result is bit-identical to
+// Forward(e.Lookup(ids[b]), H.Row(b)) — each gate starts from the
+// table's W-term and then replays the sequential step's order (U-term,
+// then bias, then the activation). No backprop cache is built; this is
+// the inference-only path.
+func (g *GRU) StepBatch(ids []int, t *GateTable, h *Batch, a *Arena) *Batch {
+	hid := g.Hid
+	k := len(ids)
+
+	az := t.gather(t.Z, ids, a)
 	g.Uz.MulBatchAdd(h, az)
 	az.AddBias(g.Bz)
 	z := a.Batch(k, hid)
 	SigmoidBatch(az, z)
 
-	ar := a.Batch(k, hid)
-	g.Wr.MulBatch(x, ar)
+	ar := t.gather(t.R, ids, a)
 	g.Ur.MulBatchAdd(h, ar)
 	ar.AddBias(g.Br)
 	r := a.Batch(k, hid)
@@ -231,8 +270,7 @@ func (g *GRU) StepBatch(x, h *Batch, a *Arena) *Batch {
 	for i, rv := range r.W {
 		rh.W[i] = rv * h.W[i]
 	}
-	ac := a.Batch(k, hid)
-	g.Wh.MulBatch(x, ac)
+	ac := t.gather(t.H, ids, a)
 	g.Uh.MulBatchAdd(rh, ac)
 	ac.AddBias(g.Bh)
 	c := a.Batch(k, hid)
@@ -243,18 +281,6 @@ func (g *GRU) StepBatch(x, h *Batch, a *Arena) *Batch {
 		hn.W[i] = (1-z.W[i])*h.W[i] + z.W[i]*c.W[i]
 	}
 	return hn
-}
-
-// LookupBatch copies the embedding rows for ids into an arena batch
-// (ids are clamped exactly as Lookup clamps them). The copy is what
-// lets the batch advance through the GEMM kernels contiguously; the
-// values are the same rows Lookup returns as views.
-func (e *Embedding) LookupBatch(ids []int, a *Arena) *Batch {
-	out := a.Batch(len(ids), e.Dim)
-	for b, id := range ids {
-		copy(out.Row(b), e.Lookup(id))
-	}
-	return out
 }
 
 // ForwardBatch computes Y = X Wᵀ + b for a batch, row-equivalent to

@@ -73,7 +73,10 @@ func (r *Registry) runOnboard(ctx context.Context, t *Tenant, spec boot.Spec) er
 	if err != nil {
 		return err
 	}
-	exs := models.PairExamples(pairs, s)
+	exs, err := models.PairExamplesCtx(ctx, pairs, s)
+	if err != nil {
+		return err
+	}
 	r.logf("registry: %s: synthesized %d NL-SQL pairs", t.Name, len(pairs))
 
 	t.enter(StateTraining)

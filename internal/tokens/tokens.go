@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Special vocabulary tokens. Their ids are fixed by NewVocab.
@@ -39,50 +40,80 @@ func IsPlaceholder(tok string) bool {
 // preserved (placeholder names are canonically upper-case); other
 // punctuation separates tokens and is dropped, except that numbers stay
 // intact (including decimals).
+//
+// The scan walks byte offsets and slices tokens out of text, decoding
+// a rune only at a byte >= utf8.RuneSelf. Every rune a token may
+// contain is a valid encoding, so the slices equal the tokens a scan
+// over []rune(text) re-encodes.
 func Tokenize(text string) []string {
 	var out []string
-	runes := []rune(text)
-	n := len(runes)
+	n := len(text)
 	i := 0
 	for i < n {
-		r := runes[i]
+		r, size := runeAt(text, i)
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i += size
 		case r == '@':
 			start := i
-			i++
-			for i < n && (runes[i] == '.' || runes[i] == '_' || unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i])) {
-				i++
+			i += size
+			for i < n {
+				r, size := runeAt(text, i)
+				if r != '.' && r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+					break
+				}
+				i += size
 			}
-			tok := string(runes[start:i])
 			// Trim a trailing '.' that is sentence punctuation, not a
 			// qualifier separator.
-			tok = strings.TrimRight(tok, ".")
+			tok := strings.TrimRight(text[start:i], ".")
 			if tok != "@" {
-				out = append(out, strings.ToUpper(tok[1:]))
-				out[len(out)-1] = "@" + out[len(out)-1]
+				out = append(out, "@"+strings.ToUpper(tok[1:]))
 			}
 		case unicode.IsLetter(r):
 			start := i
-			for i < n && (runes[i] == '_' || runes[i] == '\'' || unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i])) {
-				i++
+			for i < n {
+				r, size := runeAt(text, i)
+				if r != '_' && r != '\'' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+					break
+				}
+				i += size
 			}
-			w := strings.Trim(string(runes[start:i]), "'")
+			w := strings.Trim(text[start:i], "'")
 			if w != "" {
 				out = append(out, strings.ToLower(w))
 			}
 		case unicode.IsDigit(r):
 			start := i
-			for i < n && (unicode.IsDigit(runes[i]) || (runes[i] == '.' && i+1 < n && unicode.IsDigit(runes[i+1]))) {
-				i++
+			for i < n {
+				r, size := runeAt(text, i)
+				if !unicode.IsDigit(r) && (r != '.' || i+1 >= n || !isDigitAt(text, i+1)) {
+					break
+				}
+				i += size
 			}
-			out = append(out, string(runes[start:i]))
+			out = append(out, text[start:i])
 		default:
-			i++ // punctuation
+			i += size // punctuation
 		}
 	}
 	return out
+}
+
+// runeAt decodes the rune starting at byte offset i of s, taking the
+// one-byte path for ASCII. Invalid bytes decode as utf8.RuneError of
+// width 1, as []rune conversion decodes them.
+func runeAt(s string, i int) (rune, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(s[i:])
+}
+
+// isDigitAt reports whether the rune at byte offset i of s is a digit.
+func isDigitAt(s string, i int) bool {
+	r, _ := runeAt(s, i)
+	return unicode.IsDigit(r)
 }
 
 // Detokenize joins tokens back into a display string.

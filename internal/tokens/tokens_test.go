@@ -2,8 +2,10 @@ package tokens
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -136,4 +138,84 @@ func TestTokenizeIdempotentQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tokenizeRunes is Tokenize as it was before the byte-offset scan: the
+// same rules over []rune(text), re-encoding every token. It is the
+// oracle of the differential fuzz target.
+func tokenizeRunes(text string) []string {
+	var out []string
+	runes := []rune(text)
+	n := len(runes)
+	i := 0
+	for i < n {
+		r := runes[i]
+		switch {
+		case unicode.IsSpace(r):
+			i++
+		case r == '@':
+			start := i
+			i++
+			for i < n && (runes[i] == '.' || runes[i] == '_' || unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i])) {
+				i++
+			}
+			tok := string(runes[start:i])
+			tok = strings.TrimRight(tok, ".")
+			if tok != "@" {
+				out = append(out, strings.ToUpper(tok[1:]))
+				out[len(out)-1] = "@" + out[len(out)-1]
+			}
+		case unicode.IsLetter(r):
+			start := i
+			for i < n && (runes[i] == '_' || runes[i] == '\'' || unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i])) {
+				i++
+			}
+			w := strings.Trim(string(runes[start:i]), "'")
+			if w != "" {
+				out = append(out, strings.ToLower(w))
+			}
+		case unicode.IsDigit(r):
+			start := i
+			for i < n && (unicode.IsDigit(runes[i]) || (runes[i] == '.' && i+1 < n && unicode.IsDigit(runes[i+1]))) {
+				i++
+			}
+			out = append(out, string(runes[start:i]))
+		default:
+			i++
+		}
+	}
+	return out
+}
+
+// tokenizeSeeds covers every branch of the scanner: placeholders with
+// trailing and inner dots, apostrophes, decimals and dangling dots,
+// non-ASCII letters and digits, and invalid UTF-8.
+var tokenizeSeeds = []string{
+	"Show me all patients!", "with age @patients.age today", "show @JOIN.", "@", "@.",
+	"what's the 'name'", "cost of 12.5 dollars. 3. .5 1..2", "length_of_stay > 3",
+	"Ünïcödé straße ΑΒΓ ٣٤.٥ 日本語", "caf\xc3\xa9 \xff\xfe @a\xffb 9\x80", "\xe2\x80", "İstanbul ǅ",
+}
+
+// TestTokenizeMatchesRunesOracle: the byte-offset Tokenize agrees with
+// the rune-based oracle on the fuzz seeds.
+func TestTokenizeMatchesRunesOracle(t *testing.T) {
+	for _, s := range tokenizeSeeds {
+		if got, want := Tokenize(s), tokenizeRunes(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenize(%q) = %q, rune oracle %q", s, got, want)
+		}
+	}
+}
+
+// FuzzTokenizeDifferential: Tokenize and the rune-based oracle agree on
+// arbitrary input, invalid UTF-8 included. Explore with
+// `go test -fuzz=FuzzTokenizeDifferential ./internal/tokens`.
+func FuzzTokenizeDifferential(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Tokenize(s), tokenizeRunes(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, rune oracle %q", s, got, want)
+		}
+	})
 }
