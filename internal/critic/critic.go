@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -39,6 +38,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
+	"repro/internal/tokens"
 )
 
 // Verdict is the critic's ruling on one candidate.
@@ -797,7 +797,7 @@ const minRepairSimilarity = 0.25
 func (c *Critic) nearest(got string, lexicon []string) (string, bool) {
 	best, bestScore, bestTie := "", -1.0, uint64(0)
 	for _, cand := range lexicon {
-		score := bigramJaccard(strings.ToLower(got), strings.ToLower(cand))
+		score := tokens.BigramJaccard(strings.ToLower(got), strings.ToLower(cand))
 		tie := c.tieKey(cand)
 		if score > bestScore || (score == bestScore && tie < bestTie) {
 			best, bestScore, bestTie = cand, score, tie
@@ -814,52 +814,6 @@ func (c *Critic) tieKey(name string) uint64 {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(name)) // fnv Write cannot fail
 	return uint64(par.SplitSeed(c.cfg.Seed, int(h.Sum32())))
-}
-
-// bigramJaccard is the Jaccard index of the two strings' character
-// bigram sets (whole string for single-rune inputs).
-func bigramJaccard(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	sa, sb := bigrams(a), bigrams(b)
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] == sb[j]:
-			inter++
-			i++
-			j++
-		case sa[i] < sb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return float64(inter) / float64(len(sa)+len(sb)-inter)
-}
-
-func bigrams(s string) []string {
-	r := []rune(s)
-	if len(r) <= 1 {
-		return []string{s}
-	}
-	out := make([]string, 0, len(r))
-	for i := 0; i+1 < len(r); i++ {
-		out = append(out, string(r[i:i+2]))
-	}
-	sort.Strings(out)
-	w := 0
-	for i, g := range out {
-		if i == 0 || g != out[w-1] {
-			out[w] = g
-			w++
-		}
-	}
-	return out[:w]
 }
 
 // coerceLiterals fixes literal/column type mismatches: a number column

@@ -80,7 +80,7 @@ func EvalCriticCtx(ctx context.Context, model models.Translator, s *schema.Schem
 		goldConcrete, gerr := runtime.PostProcess(gold.Clone(), s, bindings)
 
 		var sl slot
-		if candidates := decodeBeam(model, nl, schemaToks, execGuided); len(candidates) > 0 {
+		if candidates := runtime.DecodeCandidates(ctx, model, nl, schemaToks, execGuided); len(candidates) > 0 {
 			offQ, _ := trOff.FinalizeCandidates(candidates, bindings, nil)
 			sl.offValid, sl.offExact = armScore(db, offQ, goldConcrete, gerr)
 
@@ -111,21 +111,6 @@ func EvalCriticCtx(ctx context.Context, model models.Translator, s *schema.Schem
 		}
 	}
 	return rep, err
-}
-
-// decodeBeam mirrors the runtime's tier decoding: up to k ranked
-// candidates when the model supports alternatives, one otherwise.
-func decodeBeam(model models.Translator, nl, schemaToks []string, k int) [][]string {
-	if k > 1 {
-		if kt, ok := model.(runtime.KTranslator); ok {
-			return kt.TranslateK(nl, schemaToks, k)
-		}
-	}
-	out := model.Translate(nl, schemaToks)
-	if len(out) == 0 {
-		return nil
-	}
-	return [][]string{out}
 }
 
 // armScore checks one arm's final query: valid when it executes,

@@ -73,3 +73,34 @@ func TestCriticReportWorkerInvariant(t *testing.T) {
 		t.Fatalf("report varies with worker count:\n  1: %+v\n  8: %+v", one, eight)
 	}
 }
+
+// EvalCriticCtx reports are pinned on the corrupted fixture at both
+// beam widths. The expected reports were recorded before the eval
+// stopped decoding its own beam and before finalization became one
+// loop, so both folds are held to the numbers they replaced.
+func TestCriticReportGolden(t *testing.T) {
+	u, model, qs := corruptedFixture(t)
+	for _, tc := range []struct {
+		execGuided int
+		want       CriticReport
+	}{
+		{1, CriticReport{
+			Questions: 60,
+			Off:       CriticArm{Valid: Frac{33, 60}, Exact: Frac{9, 60}},
+			On:        CriticArm{Valid: Frac{54, 60}, Exact: Frac{13, 60}, Repaired: 21, Rejected: 6},
+		}},
+		{3, CriticReport{
+			Questions: 60,
+			Off:       CriticArm{Valid: Frac{33, 60}, Exact: Frac{9, 60}},
+			On:        CriticArm{Valid: Frac{54, 60}, Exact: Frac{13, 60}, Repaired: 21, Rejected: 6},
+		}},
+	} {
+		rep, err := EvalCriticCtx(context.Background(), model, u.Schema, u.DB, qs, tc.execGuided, critic.Config{Seed: 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*rep, tc.want) {
+			t.Errorf("execGuided %d: report %#v, want %#v", tc.execGuided, *rep, tc.want)
+		}
+	}
+}

@@ -68,30 +68,18 @@ type SpiderReport struct {
 	Results      []SpiderResult
 }
 
-// EvalSpider runs the translator over pre-anonymized questions and
+// EvalSpiderCtx runs the translator over pre-anonymized questions and
 // scores canonicalized exact match, as in the paper's Spider setup.
-// Questions are translated concurrently on the default worker pool.
-func EvalSpider(tr models.Translator, qs []spider.Question) *SpiderReport {
-	return EvalSpiderWorkers(tr, qs, 0)
-}
-
-// EvalSpiderWorkers is EvalSpider with an explicit worker-pool bound
-// (0 = runtime.NumCPU). The translator's Translate must be safe for
+// Questions are translated concurrently on up to workers goroutines
+// (0 = runtime.NumCPU); the translator's Translate must be safe for
 // concurrent calls (both repository models are: inference only reads
-// the trained weights). The report is identical for every worker
-// count: results are produced into per-question slots and aggregated
-// in question order.
-func EvalSpiderWorkers(tr models.Translator, qs []spider.Question, workers int) *SpiderReport {
-	// Background is never done, so the report is always complete.
-	rep, _ := EvalSpiderCtx(context.Background(), tr, qs, workers)
-	return rep
-}
-
-// EvalSpiderCtx is EvalSpiderWorkers with cooperative cancellation.
-// On cancellation it returns the context's error together with a
-// partial report covering the completed prefix of the question list —
-// par.MapCtx dispatches questions in index order, so the evaluated
-// set is always a prefix and the partial report is deterministic.
+// the trained weights). Results land in per-question slots and are
+// aggregated in question order, so the report is identical for every
+// worker count. On cancellation it returns the context's error
+// together with a partial report covering the completed prefix of the
+// question list — par.MapCtx dispatches questions in index order, so
+// the evaluated set is always a prefix and the partial report is
+// deterministic.
 func EvalSpiderCtx(ctx context.Context, tr models.Translator, qs []spider.Question, workers int) (*SpiderReport, error) {
 	// Schema-token contexts are built up front so the workers share a
 	// read-only map.
@@ -248,21 +236,6 @@ type PatientsFailure struct {
 	Err  string
 }
 
-// EvalPatients runs the full runtime (Parameter Handler, lemmatizer,
-// model, post-processor) on every benchmark case and scores semantic
-// equivalence: the prediction is correct when it executes to the same
-// result as the gold query on the benchmark database. Cases are
-// evaluated concurrently on the default worker pool.
-func EvalPatients(tr models.Translator, db *engine.Database, cases []patients.Case) *PatientsReport {
-	return EvalPatientsGuided(tr, db, cases, 1)
-}
-
-// EvalPatientsGuided is EvalPatients with execution-guided decoding:
-// the runtime tries up to execGuided ranked candidates per question.
-func EvalPatientsGuided(tr models.Translator, db *engine.Database, cases []patients.Case, execGuided int) *PatientsReport {
-	return EvalPatientsWorkers(tr, db, cases, execGuided, 0)
-}
-
 // patientsOutcome is one case's result slot, filled by a worker.
 type patientsOutcome struct {
 	correct bool
@@ -270,23 +243,19 @@ type patientsOutcome struct {
 	err     string
 }
 
-// EvalPatientsWorkers is EvalPatientsGuided with an explicit
-// worker-pool bound (0 = runtime.NumCPU). The runtime translator and
-// execution engine are stateless per call, so one shared instance
-// serves every worker; outcomes land in per-case slots and are
-// aggregated in case order, making the report identical for every
-// worker count.
-func EvalPatientsWorkers(tr models.Translator, db *engine.Database, cases []patients.Case, execGuided, workers int) *PatientsReport {
-	// Background is never done, so the report is always complete.
-	rep, _ := EvalPatientsCtx(context.Background(), tr, db, cases, execGuided, workers)
-	return rep
-}
-
-// EvalPatientsCtx is EvalPatientsWorkers with cooperative
-// cancellation. On cancellation it returns the context's error
-// together with a partial report covering the completed prefix of the
-// case list (see EvalSpiderCtx), so an interrupted evaluation can
-// still flush what it measured.
+// EvalPatientsCtx runs the full runtime (Parameter Handler,
+// lemmatizer, model, post-processor) on every benchmark case and
+// scores semantic equivalence: the prediction is correct when it
+// executes to the same result as the gold query on the benchmark
+// database. The runtime tries up to execGuided ranked candidates per
+// question. Cases are evaluated on up to workers goroutines
+// (0 = runtime.NumCPU); the runtime translator and execution engine
+// are stateless per call, so one shared instance serves every worker,
+// and outcomes land in per-case slots aggregated in case order,
+// making the report identical for every worker count. On cancellation
+// it returns the context's error together with a partial report
+// covering the completed prefix of the case list (see EvalSpiderCtx),
+// so an interrupted evaluation can still flush what it measured.
 func EvalPatientsCtx(ctx context.Context, tr models.Translator, db *engine.Database, cases []patients.Case, execGuided, workers int) (*PatientsReport, error) {
 	rep := &PatientsReport{ByCategory: map[patients.Category]*Frac{}}
 	for _, c := range patients.Categories {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,9 +37,9 @@ func TestEvalSpiderWorkerCountInvariance(t *testing.T) {
 	}
 	tr := halfTranslator{gold: g}
 
-	base := EvalSpiderWorkers(tr, qs, 1)
+	base, _ := EvalSpiderCtx(context.Background(), tr, qs, 1)
 	for _, workers := range []int{2, 4, 16} {
-		rep := EvalSpiderWorkers(tr, qs, workers)
+		rep, _ := EvalSpiderCtx(context.Background(), tr, qs, workers)
 		if rep.Overall != base.Overall {
 			t.Fatalf("workers=%d: overall %v vs %v", workers, rep.Overall, base.Overall)
 		}
@@ -67,8 +68,8 @@ func TestEvalPatientsWorkerCountInvariance(t *testing.T) {
 	}
 	tr := brokenTranslator{} // exercises the failure path in every slot
 
-	base := EvalPatientsWorkers(tr, db, cases, 1, 1)
-	rep := EvalPatientsWorkers(tr, db, cases, 1, 4)
+	base, _ := EvalPatientsCtx(context.Background(), tr, db, cases, 1, 1)
+	rep, _ := EvalPatientsCtx(context.Background(), tr, db, cases, 1, 4)
 	if rep.Overall != base.Overall {
 		t.Fatalf("overall differs: %v vs %v", rep.Overall, base.Overall)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestEvalSpiderGoldGetsPerfectScore(t *testing.T) {
 		nl := lemmaTokens(q.NL)
 		g.answers[strings.Join(nl, " ")] = models.NormalizeSQLTokens(sqlast.MustParse(q.SQL).Tokens())
 	}
-	rep := EvalSpider(g, qs)
+	rep, _ := EvalSpiderCtx(context.Background(), g, qs, 0)
 	if rep.Overall.Acc() != 1.0 {
 		t.Fatalf("gold translator should score 1.0, got %v", rep.Overall)
 	}
@@ -69,7 +70,7 @@ func TestEvalSpiderGoldGetsPerfectScore(t *testing.T) {
 
 func TestEvalSpiderBrokenGetsZero(t *testing.T) {
 	qs := spider.GeoWorkload(20, 3)
-	rep := EvalSpider(brokenTranslator{}, qs)
+	rep, _ := EvalSpiderCtx(context.Background(), brokenTranslator{}, qs, 0)
 	if rep.Overall.Correct != 0 {
 		t.Fatalf("broken translator scored %v", rep.Overall)
 	}
@@ -93,7 +94,7 @@ func TestClassify(t *testing.T) {
 
 func TestCoverageReportPartition(t *testing.T) {
 	qs := spider.GeoWorkload(30, 7)
-	rep := EvalSpider(brokenTranslator{}, qs)
+	rep, _ := EvalSpiderCtx(context.Background(), brokenTranslator{}, qs, 0)
 	sp := map[string]bool{}
 	dp := map[string]bool{}
 	for _, r := range rep.Results[:10] {
@@ -198,7 +199,7 @@ func lemmaTokens(nl string) []string {
 }
 
 // patientsOracle plays back anonymized gold queries for a subset of
-// the benchmark, exercising EvalPatients end to end.
+// the benchmark, exercising EvalPatientsCtx end to end.
 type patientsOracle struct {
 	byNL map[string][]string
 }
@@ -221,7 +222,7 @@ func TestEvalPatientsWithOracle(t *testing.T) {
 		key := strings.Join(lemmaTokens(strings.Join(anonNLFor(db, cs.NL), " ")), " ")
 		o.byNL[key] = models.NormalizeSQLTokens(anonGold.Tokens())
 	}
-	rep := EvalPatients(o, db, cases)
+	rep, _ := EvalPatientsCtx(context.Background(), o, db, cases, 1, 0)
 	if rep.Overall.Total != len(cases) {
 		t.Fatalf("evaluated %d of %d", rep.Overall.Total, len(cases))
 	}

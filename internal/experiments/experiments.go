@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -267,7 +268,7 @@ func RunSpider(s Scale) *SpiderExperiment {
 	par.Map(s.Workers, len(Configs), func(i int) {
 		m := s.newModel(s.Seed)
 		m.Train(datasets[Configs[i]])
-		reports[i] = eval.EvalSpiderWorkers(m, d.Test, s.Workers)
+		reports[i], _ = eval.EvalSpiderCtx(context.Background(), m, d.Test, s.Workers)
 	})
 	for i, cfg := range Configs {
 		exp.Reports[cfg] = reports[i]
@@ -350,7 +351,7 @@ func RunPatients(s Scale) *PatientsExperiment {
 	par.Map(s.Workers, len(Configs), func(i int) {
 		m := s.newModel(s.Seed)
 		m.Train(datasets[Configs[i]])
-		reports[i] = eval.EvalPatientsWorkers(m, db, cases, 1, s.Workers)
+		reports[i], _ = eval.EvalPatientsCtx(context.Background(), m, db, cases, 1, s.Workers)
 	})
 	for i, cfg := range Configs {
 		exp.Reports[cfg] = reports[i]

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -55,7 +56,7 @@ func RunFigure3(s Scale) *Figure3Result {
 		}
 		m := s.newModel(s.Seed)
 		m.Train(exs)
-		rep := eval.EvalPatientsWorkers(m, db, cases, 1, s.Workers)
+		rep, _ := eval.EvalPatientsCtx(context.Background(), m, db, cases, 1, s.Workers)
 		res.Accuracy[i] = rep.Overall.Acc()
 	})
 	full := res.Accuracy[len(res.Accuracy)-1]
@@ -138,7 +139,7 @@ func RunFigure4(s Scale) *Figure4Result {
 		}
 		m := trialScale.newModel(trialSeed)
 		m.Train(exs)
-		rep := eval.EvalSpiderWorkers(m, geo, s.Workers)
+		rep, _ := eval.EvalSpiderCtx(context.Background(), m, geo, s.Workers)
 		return rep.Overall.Acc(), true
 	}
 
@@ -236,7 +237,7 @@ func RunAblations(s Scale) *AblationResult {
 		pairs = subsamplePairs(pairs, 2*s.PipelinePerSchema, s.Seed+777+17)
 		m := s.newModel(s.Seed)
 		m.Train(balance(base, models.PairExamples(pairs, patients.Schema())))
-		rep := eval.EvalPatients(m, db, cases)
+		rep, _ := eval.EvalPatientsCtx(context.Background(), m, db, cases, 1, 0)
 		res.Names = append(res.Names, v.name)
 		res.Accuracy = append(res.Accuracy, rep.Overall.Acc())
 	}
@@ -246,7 +247,7 @@ func RunAblations(s Scale) *AblationResult {
 	exs, _ := pipelineData(patients.Schema(), s.Pipeline, 2*s.PipelinePerSchema, s.Seed+777, s.Workers, cache)
 	m := s.newModel(s.Seed)
 	m.Train(balance(base, exs))
-	rep := eval.EvalPatientsGuided(m, db, cases, 3)
+	rep, _ := eval.EvalPatientsCtx(context.Background(), m, db, cases, 3, 0)
 	res.Names = append(res.Names, "exec-guided(3)")
 	res.Accuracy = append(res.Accuracy, rep.Overall.Acc())
 
@@ -257,7 +258,7 @@ func RunAblations(s Scale) *AblationResult {
 	litPairs := literalizePairs(subsamplePairs(pipelinePairs(patients.Schema(), s.Pipeline, s.Seed+777, s.Workers, cache, nil), 2*s.PipelinePerSchema, s.Seed+17), db, s.Seed+5)
 	mLit := s.newModel(s.Seed)
 	mLit.Train(balance(base, models.PairExamples(litPairs, patients.Schema())))
-	repLit := eval.EvalPatients(mLit, db, cases)
+	repLit, _ := eval.EvalPatientsCtx(context.Background(), mLit, db, cases, 1, 0)
 	res.Names = append(res.Names, "literal-constants")
 	res.Accuracy = append(res.Accuracy, repLit.Overall.Acc())
 	return res

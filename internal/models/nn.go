@@ -1,5 +1,7 @@
 package models
 
+import "repro/internal/tokens"
+
 // NearestNeighbor is the last tier of the runtime degradation chain: a
 // non-parametric Translator that memorizes its training pairs and
 // answers a question with the SQL of the stored example whose NL
@@ -85,7 +87,7 @@ func (m *NearestNeighbor) Translate(nl, _ []string) []string {
 		if n == 0 {
 			continue
 		}
-		if sim := float64(n) / float64(q+m.sizes[i]-int(n)); sim > bestSim {
+		if sim := tokens.Jaccard(int(n), q, m.sizes[i]); sim > bestSim {
 			best, bestSim = i, sim
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -140,7 +139,7 @@ func NewParameterHandler(db *engine.Database) *ParameterHandler {
 	ph.gramIndex = map[uint64][]int32{}
 	for id := range ph.textValues {
 		iv := &ph.textValues[id]
-		keys := bigramKeys(iv.value)
+		keys := tokens.BigramSet(iv.value)
 		iv.ngrams = len(keys)
 		for _, g := range keys {
 			ph.gramIndex[g] = append(ph.gramIndex[g], int32(id))
@@ -294,7 +293,7 @@ func (ph *ParameterHandler) bestTextMatch(phrase string) (sqlast.ColumnRef, stri
 	var bestRef sqlast.ColumnRef
 	bestVal := ""
 	bestSim := 0.0
-	pb := bigramKeys(strings.ToLower(phrase))
+	pb := tokens.BigramSet(strings.ToLower(phrase))
 	counts := make([]int32, len(ph.textValues))
 	for _, g := range pb {
 		for _, id := range ph.gramIndex[g] {
@@ -306,98 +305,13 @@ func (ph *ParameterHandler) bestTextMatch(phrase string) (sqlast.ColumnRef, stri
 			continue
 		}
 		iv := &ph.textValues[id]
-		sim := 1.0
-		if union := len(pb) + iv.ngrams - int(inter); union != int(inter) {
-			sim = float64(inter) / float64(union)
-		}
-		if sim > bestSim {
+		if sim := tokens.Jaccard(int(inter), len(pb), iv.ngrams); sim > bestSim {
 			bestSim = sim
 			bestVal = iv.value
 			bestRef = iv.cols[0]
 		}
 	}
 	return bestRef, bestVal, bestSim
-}
-
-// Jaccard computes the Jaccard index of the character-bigram sets of a
-// and b (1.0 for identical strings).
-func Jaccard(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	return jaccardSorted(bigrams(a), bigrams(b))
-}
-
-// jaccardSorted computes the Jaccard index of two sorted distinct
-// bigram slices by merge intersection.
-func jaccardSorted(sa, sb []string) float64 {
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] == sb[j]:
-			inter++
-			i++
-			j++
-		case sa[i] < sb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if inter == len(sa) && inter == len(sb) {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// bigramKeys returns the distinct character bigrams of s packed into
-// uint64 keys (hi rune << 32 | lo rune; a single-rune string yields
-// the bare rune, which cannot collide with a pair key because pair
-// keys always carry a non-zero high half).
-func bigramKeys(s string) []uint64 {
-	r := []rune(s)
-	if len(r) == 1 {
-		return []uint64{uint64(uint32(r[0]))}
-	}
-	out := make([]uint64, 0, len(r))
-	for i := 0; i+1 < len(r); i++ {
-		out = append(out, uint64(uint32(r[i]))<<32|uint64(uint32(r[i+1])))
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	w := 0
-	for i, g := range out {
-		if i == 0 || g != out[w-1] {
-			out[w] = g
-			w++
-		}
-	}
-	return out[:w]
-}
-
-// bigrams returns the sorted distinct character bigrams of s (the
-// whole string when it is a single rune).
-func bigrams(s string) []string {
-	r := []rune(s)
-	if len(r) == 1 {
-		return []string{s}
-	}
-	out := make([]string, 0, len(r))
-	for i := 0; i+1 < len(r); i++ {
-		out = append(out, string(r[i:i+2]))
-	}
-	sort.Strings(out)
-	w := 0
-	for i, g := range out {
-		if i == 0 || g != out[w-1] {
-			out[w] = g
-			w++
-		}
-	}
-	return out[:w]
 }
 
 // placeholderName renders TABLE.COL (upper case, no '@').
@@ -764,9 +678,15 @@ func (tr *Translator) tryTier(ctx context.Context, model models.Translator, nl [
 	}
 	if tctx.Done() == nil {
 		// No deadline from either side: run inline, zero overhead.
-		candidates = tr.tierCandidates(tctx, model, nl)
-	} else if derr := par.Await(tctx, func() { candidates = tr.tierCandidates(tctx, model, nl) }); derr != nil {
-		return nil, nil, fmt.Errorf("runtime: tier %q exceeded its deadline: %w", model.Name(), derr)
+		candidates = DecodeCandidates(tctx, model, nl, tr.schema, tr.ExecutionGuided)
+	} else {
+		// The decode writes a local: an abandoned decode still running
+		// after the deadline return must not touch the named results.
+		var decoded [][]string
+		if derr := par.Await(tctx, func() { decoded = DecodeCandidates(tctx, model, nl, tr.schema, tr.ExecutionGuided) }); derr != nil {
+			return nil, nil, fmt.Errorf("runtime: tier %q exceeded its deadline: %w", model.Name(), derr)
+		}
+		candidates = decoded
 	}
 	if len(candidates) == 0 {
 		return nil, nil, fmt.Errorf("runtime: model %q produced no output", model.Name())
@@ -793,19 +713,21 @@ func (e *RejectedError) Error() string {
 }
 
 // FinalizeCandidates is the binding-dependent tail of a translation:
-// it walks the ranked candidate token sequences and returns the first
-// that parses, post-processes against this request's bindings, and —
-// when more than one candidate is offered (execution-guided mode) —
-// executes. When a Critic is configured (and its hook, if any,
-// allows) every candidate is instead reviewed by the critic and the
-// beam is reranked validity-first: the first valid candidate wins
-// immediately, otherwise the first repaired-valid one, otherwise the
-// first candidate the sandbox itself failed on (answered unvalidated),
-// otherwise the finalization fails with *RejectedError. It is safe to call with
-// candidates decoded for a different request's constants (the result
-// cache's replay path); a panic from a pathological candidate is
-// recovered into an error. trace, when non-nil, receives the winning
-// query in Final and the critic verdicts.
+// it walks the ranked candidate token sequences, parses and
+// post-processes each against this request's bindings, and judges it
+// once. With a Critic (whose hook, if any, allows) the judge is the
+// critic's review: the first valid candidate wins immediately,
+// otherwise the first repaired-valid one, otherwise the first
+// candidate the sandbox itself failed on (answered unvalidated),
+// otherwise the finalization fails with *RejectedError. Without one a
+// candidate is valid unless more than one is offered
+// (execution-guided mode) and it fails to execute; the first valid
+// candidate wins, and when none is, the first failure is returned. It
+// is safe to call with candidates decoded for a different request's
+// constants (the result cache's replay path); a panic from a
+// pathological candidate is recovered into an error. trace, when
+// non-nil, receives the winning query in Final and the critic
+// verdicts.
 func (tr *Translator) FinalizeCandidates(candidates [][]string, bindings []Binding, trace *Trace) (*sqlast.Query, error) {
 	return tr.FinalizeCandidatesContext(context.Background(), candidates, bindings, trace)
 }
@@ -813,6 +735,12 @@ func (tr *Translator) FinalizeCandidates(candidates [][]string, bindings []Bindi
 // FinalizeCandidatesContext is FinalizeCandidates with the caller's
 // context threaded into the critic's sandboxed dry-runs, so a request
 // deadline bounds validation work too.
+//
+// A repaired candidate is remembered rather than returned, so it beats
+// an invalid top-1 but never a valid lower-ranked one. A candidate
+// whose sandbox run itself failed (engine panic or deadline — not a
+// verdict on the candidate) ranks below both, so an engine meltdown
+// degrades service instead of rejecting requests.
 func (tr *Translator) FinalizeCandidatesContext(ctx context.Context, candidates [][]string, bindings []Binding, trace *Trace) (q *sqlast.Query, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -832,17 +760,42 @@ func (tr *Translator) FinalizeCandidatesContext(ctx context.Context, candidates 
 			crit = nil
 		}
 	}
-	if crit != nil {
-		return tr.finalizeCritic(ctx, crit, candidates, bindings, trace)
-	}
+	var repairedQ, degradedQ *sqlast.Query
 	var firstErr error
+	var verdicts []string
+	if crit != nil {
+		verdicts = make([]string, 0, len(candidates))
+	}
 	for _, sqlToks := range candidates {
-		pq, perr := tr.parseFinalize(sqlToks, bindings, &firstErr)
+		pq, perr := sqlast.ParseTokens(sqlToks)
 		if perr != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("runtime: model output unparsable (%q): %w", strings.Join(sqlToks, " "), perr)
+			}
+		} else if pq, perr = PostProcess(pq, tr.DB.Schema, bindings); perr != nil && firstErr == nil {
+			firstErr = perr
+		}
+		if perr != nil {
+			if crit != nil {
+				verdicts = append(verdicts, "unusable: "+perr.Error())
+			}
 			continue
 		}
-		// In execution-guided mode a candidate must also execute.
-		if len(candidates) > 1 {
+		out, verdict := pq, critic.VerdictValid
+		if crit != nil {
+			var outcome critic.Outcome
+			out, outcome = crit.Review(ctx, pq)
+			if tr.CriticHook != nil {
+				var infra error
+				if outcome.Err != nil && outcome.Err.Infra() {
+					infra = outcome.Err
+				}
+				tr.CriticHook.Record(infra)
+			}
+			trace.CriticNS += outcome.DryRunNS
+			verdicts = append(verdicts, outcome.String())
+			verdict = outcome.Verdict
+		} else if len(candidates) > 1 {
 			if _, eerr := tr.DB.Execute(pq); eerr != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("runtime: candidate does not execute: %w", eerr)
@@ -850,63 +803,7 @@ func (tr *Translator) FinalizeCandidatesContext(ctx context.Context, candidates 
 				continue
 			}
 		}
-		trace.Final = pq
-		return pq, nil
-	}
-	return nil, firstErr
-}
-
-// parseFinalize parses and post-processes one candidate, folding its
-// failure into firstErr. The returned error only signals "skip this
-// candidate".
-func (tr *Translator) parseFinalize(sqlToks []string, bindings []Binding, firstErr *error) (*sqlast.Query, error) {
-	pq, perr := sqlast.ParseTokens(sqlToks)
-	if perr != nil {
-		if *firstErr == nil {
-			*firstErr = fmt.Errorf("runtime: model output unparsable (%q): %w", strings.Join(sqlToks, " "), perr)
-		}
-		return nil, perr
-	}
-	pq, perr = PostProcess(pq, tr.DB.Schema, bindings)
-	if perr != nil {
-		if *firstErr == nil {
-			*firstErr = perr
-		}
-		return nil, perr
-	}
-	return pq, nil
-}
-
-// finalizeCritic is the critic-guarded finalization: every candidate
-// is reviewed (static checks, repair, sandboxed dry-run) and the beam
-// reranked validity-first. A valid candidate short-circuits the walk;
-// a repaired one is remembered as the fallback winner so a
-// repaired-valid candidate beats an invalid top-1 but never a valid
-// lower-ranked one. A candidate whose sandbox run itself failed
-// (engine panic or deadline — not a verdict on the candidate) is kept
-// as a last-resort unvalidated answer below both, so an engine
-// meltdown degrades service instead of rejecting requests.
-func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, candidates [][]string, bindings []Binding, trace *Trace) (*sqlast.Query, error) {
-	var repairedQ, degradedQ *sqlast.Query
-	var firstErr error
-	verdicts := make([]string, 0, len(candidates))
-	for _, sqlToks := range candidates {
-		pq, perr := tr.parseFinalize(sqlToks, bindings, &firstErr)
-		if perr != nil {
-			verdicts = append(verdicts, "unusable: "+perr.Error())
-			continue
-		}
-		out, outcome := crit.Review(ctx, pq)
-		if tr.CriticHook != nil {
-			var infra error
-			if outcome.Err != nil && outcome.Err.Infra() {
-				infra = outcome.Err
-			}
-			tr.CriticHook.Record(infra)
-		}
-		trace.CriticNS += outcome.DryRunNS
-		verdicts = append(verdicts, outcome.String())
-		switch outcome.Verdict {
+		switch verdict {
 		case critic.VerdictValid:
 			trace.CriticVerdicts = append(trace.CriticVerdicts, verdicts...)
 			trace.Final = out
@@ -918,42 +815,44 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 		case critic.VerdictError:
 			// The sandbox failed, not the candidate: it already passed
 			// the static checks, and the hook Record above is what
-			// trips the breaker. Answer with it unvalidated rather
-			// than failing the request for the engine's meltdown.
+			// trips the breaker.
 			if degradedQ == nil {
 				degradedQ = pq
 			}
 		}
 	}
 	trace.CriticVerdicts = append(trace.CriticVerdicts, verdicts...)
-	if repairedQ != nil {
+	switch {
+	case repairedQ != nil:
 		trace.Final = repairedQ
 		trace.Repaired = true
 		return repairedQ, nil
-	}
-	if degradedQ != nil {
+	case degradedQ != nil:
 		trace.Final = degradedQ
 		return degradedQ, nil
+	case crit != nil:
+		return nil, &RejectedError{Verdicts: verdicts}
 	}
-	return nil, &RejectedError{Verdicts: verdicts}
+	return nil, firstErr
 }
 
-// tierCandidates returns the ranked outputs of one tier: one (plain
-// mode) or up to ExecutionGuided many when the tier supports
-// alternatives. Models offering ContextTranslator decode under the
-// tier's deadline context (the serving layer's batching adapter uses
-// this to exit a pending microbatch on cancellation).
-func (tr *Translator) tierCandidates(ctx context.Context, model models.Translator, nl []string) [][]string {
-	if tr.ExecutionGuided > 1 {
+// DecodeCandidates returns the ranked outputs of one translator tier:
+// up to k when k > 1 and the model implements KTranslator, one
+// otherwise. Models offering ContextTranslator decode under ctx (the
+// serving layer's batching adapter uses this to exit a pending
+// microbatch on cancellation). It is the one beam decoder behind both
+// the runtime's tiers and the critic evaluation.
+func DecodeCandidates(ctx context.Context, model models.Translator, nl, schemaToks []string, k int) [][]string {
+	if k > 1 {
 		if kt, ok := model.(KTranslator); ok {
-			return kt.TranslateK(nl, tr.schema, tr.ExecutionGuided) //lint:allow ctxdrop KTranslator has no context variant; tryTier bounds this whole call with par.Await under the tier deadline
+			return kt.TranslateK(nl, schemaToks, k) //lint:allow ctxdrop KTranslator has no context variant; tryTier bounds the whole call with par.Await under the tier deadline, and the critic eval runs it to completion
 		}
 	}
 	var out []string
 	if ct, ok := model.(models.ContextTranslator); ok {
-		out = ct.TranslateContext(ctx, nl, tr.schema)
+		out = ct.TranslateContext(ctx, nl, schemaToks)
 	} else {
-		out = model.Translate(nl, tr.schema) //lint:allow ctxdrop plain Translator has no context variant; tryTier bounds this whole call with par.Await under the tier deadline
+		out = model.Translate(nl, schemaToks) //lint:allow ctxdrop plain Translator has no context variant; tryTier bounds the whole call with par.Await under the tier deadline, and the critic eval runs it to completion
 	}
 	if len(out) == 0 {
 		return nil

@@ -108,22 +108,6 @@ func TestAnonymizePreAnonymizedPassThrough(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	if Jaccard("abc", "abc") != 1 {
-		t.Fatal("identical strings = 1")
-	}
-	if Jaccard("abc", "xyz") != 0 {
-		t.Fatal("disjoint strings = 0")
-	}
-	sim := Jaccard("influenza", "influenzas")
-	if sim <= 0.5 || sim >= 1 {
-		t.Fatalf("near-match similarity = %v", sim)
-	}
-	if Jaccard("male", "male") <= Jaccard("male", "female") {
-		t.Fatal("exact match must beat partial match")
-	}
-}
-
 func TestPostProcessRestoresConstants(t *testing.T) {
 	db := benchDB(t)
 	q := sqlast.MustParse("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
@@ -316,21 +300,6 @@ func TestTraceRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestJaccardEdgeCases(t *testing.T) {
-	if Jaccard("", "") != 1 {
-		t.Fatal("empty strings are identical")
-	}
-	if Jaccard("a", "") != 0 {
-		t.Fatal("empty vs non-empty = 0")
-	}
-	if Jaccard("a", "a") != 1 {
-		t.Fatal("single identical runes = 1")
-	}
-	if Jaccard("a", "b") != 0 {
-		t.Fatal("distinct single runes = 0")
 	}
 }
 

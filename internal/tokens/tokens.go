@@ -5,6 +5,7 @@
 package tokens
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -114,6 +115,67 @@ func runeAt(s string, i int) (rune, int) {
 func isDigitAt(s string, i int) bool {
 	r, _ := runeAt(s, i)
 	return unicode.IsDigit(r)
+}
+
+// singleRune tags the key of a one-rune string. A pair key is
+// hi<<32 | lo with both runes below 1<<21, so its top bit is never set
+// and a tagged key never equals one: "a" and "\x00a" share no key.
+const singleRune = 1 << 63
+
+// BigramSet returns the sorted distinct character bigrams of s packed
+// into uint64 keys (hi rune << 32 | lo rune). A one-rune string yields
+// its tagged rune, and the empty string the empty set. Runes are
+// decoded as range decodes them, so invalid bytes count as
+// utf8.RuneError.
+func BigramSet(s string) []uint64 {
+	out := make([]uint64, 0, len(s))
+	prev, n := rune(0), 0
+	for _, r := range s {
+		if n > 0 {
+			out = append(out, uint64(uint32(prev))<<32|uint64(uint32(r)))
+		}
+		prev = r
+		n++
+	}
+	if n == 1 {
+		return append(out, singleRune|uint64(uint32(prev)))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// BigramJaccard is the Jaccard index of the character-bigram sets of a
+// and b: 1 for identical strings, 0 when they share no bigram.
+func BigramJaccard(a, b string) float64 {
+	if a == b {
+		return 1
+	}
+	sa, sb := BigramSet(a), BigramSet(b)
+	inter, i, j := 0, 0, 0
+	for i < len(sa) && j < len(sb) {
+		switch {
+		case sa[i] == sb[j]:
+			inter++
+			i++
+			j++
+		case sa[i] < sb[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return Jaccard(inter, len(sa), len(sb))
+}
+
+// Jaccard is the Jaccard index of two sets of na and nb elements
+// sharing inter of them: inter / (na + nb - inter), 0 when both are
+// empty.
+func Jaccard(inter, na, nb int) float64 {
+	union := na + nb - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
 }
 
 // Detokenize joins tokens back into a display string.
