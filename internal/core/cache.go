@@ -12,9 +12,9 @@ import (
 // keyed by everything that determines it: schema name, instantiation
 // parameters, template subset, and seed. The augmentation parameters
 // are deliberately not part of the key — that is the point: a
-// hyperopt trial that varies only augmentation knobs (grid-search
-// axes 6–9, the ablation variants, surrogate refinements) replays the
-// cached instantiation instead of re-running the generator.
+// hyperopt trial that varies only augmentation knobs (the ablation
+// variants, surrogate refinements) replays the cached instantiation
+// instead of re-running the generator.
 //
 // Replay is byte-identical to live generation (the generator is
 // deterministic given the key), so caching never changes a corpus.

@@ -667,33 +667,27 @@ func (c *Critic) Repair(q *sqlast.Query) (*sqlast.Query, []string, bool) {
 // scope by scope so each column repairs against its own FROM tables.
 func (c *Critic) repairIdentifiers(q *sqlast.Query) bool {
 	changed := false
-	var scope func(q *sqlast.Query)
-	scope = func(q *sqlast.Query) {
-		if q == nil || q.From.JoinPlaceholder {
-			return
-		}
+	var scopes scopeTables
+	sqlast.Walk(q, sqlast.Visitor{
 		// Tables first: columns repair against the repaired FROM.
-		for i, tn := range q.From.Tables {
-			if c.s.Table(tn) == nil {
-				if best, ok := c.nearest(tn, c.tables); ok {
-					q.From.Tables[i] = best
-					changed = true
+		Scope: func(s *sqlast.Query) bool {
+			if s.From.JoinPlaceholder {
+				return false
+			}
+			for i, tn := range s.From.Tables {
+				if c.s.Table(tn) == nil {
+					if best, ok := c.nearest(tn, c.tables); ok {
+						s.From.Tables[i] = best
+						changed = true
+					}
 				}
 			}
-		}
-		var froms []*schema.Table
-		var colLex []string
-		for _, tn := range q.From.Tables {
-			if t := c.s.Table(tn); t != nil {
-				froms = append(froms, t)
-				for _, col := range t.Columns {
-					colLex = append(colLex, col.Name)
-				}
-			}
-		}
-		fixRef := func(ref *sqlast.ColumnRef) {
+			scopes.enter(c.s, s)
+			return true
+		},
+		Column: func(s *sqlast.Query, ref sqlast.ColumnRef) sqlast.ColumnRef {
 			if ref.Column == "" {
-				return
+				return ref
 			}
 			if ref.Table != "" && c.s.Table(ref.Table) == nil {
 				if best, ok := c.nearest(ref.Table, c.tables); ok {
@@ -701,89 +695,59 @@ func (c *Critic) repairIdentifiers(q *sqlast.Query) bool {
 					changed = true
 				}
 			}
-			if _, cerr := c.resolveCol(*ref, froms); cerr == nil || cerr.Kind == engine.ErrAmbiguousColumn {
-				return
+			froms := scopes.of(s)
+			if _, cerr := c.resolveCol(ref, froms); cerr == nil || cerr.Kind == engine.ErrAmbiguousColumn {
+				return ref
 			}
+			var lex []string
 			if ref.Table != "" {
-				if t := c.s.Table(ref.Table); t != nil && t.Column(ref.Column) == nil {
-					var lex []string
-					for _, col := range t.Columns {
-						lex = append(lex, col.Name)
-					}
-					if best, ok := c.nearest(ref.Column, lex); ok {
-						ref.Column = best
-						changed = true
-					}
+				t := c.s.Table(ref.Table)
+				if t == nil || t.Column(ref.Column) != nil {
+					return ref
 				}
-				return
+				froms = []*schema.Table{t}
 			}
-			if best, ok := c.nearest(ref.Column, colLex); ok {
+			for _, t := range froms {
+				for _, col := range t.Columns {
+					lex = append(lex, col.Name)
+				}
+			}
+			if best, ok := c.nearest(ref.Column, lex); ok {
 				ref.Column = best
 				changed = true
 			}
-		}
-		fixItem := func(sel *sqlast.SelectItem) {
-			if !sel.Star {
-				fixRef(&sel.Col)
-			}
-		}
-		for i := range q.Select {
-			fixItem(&q.Select[i])
-		}
-		for i := range q.GroupBy {
-			fixRef(&q.GroupBy[i])
-		}
-		for i := range q.OrderBy {
-			fixItem(&q.OrderBy[i].Item)
-		}
-		var fixExpr func(e sqlast.Expr) sqlast.Expr
-		fixExpr = func(e sqlast.Expr) sqlast.Expr {
-			switch v := e.(type) {
-			case sqlast.Logic:
-				v.Left, v.Right = fixExpr(v.Left), fixExpr(v.Right)
-				return v
-			case sqlast.Not:
-				v.Inner = fixExpr(v.Inner)
-				return v
-			case sqlast.Comparison:
-				fixRef(&v.Left)
-				if co, ok := v.Right.(sqlast.ColOperand); ok {
-					fixRef(&co.Col)
-					v.Right = co
-				}
-				if ss, ok := v.Right.(sqlast.ScalarSubquery); ok {
-					scope(ss.Query)
-				}
-				return v
-			case sqlast.Between:
-				fixRef(&v.Col)
-				return v
-			case sqlast.InSubquery:
-				fixRef(&v.Col)
-				scope(v.Query)
-				return v
-			case sqlast.Exists:
-				scope(v.Query)
-				return v
-			case sqlast.HavingCond:
-				fixItem(&v.Item)
-				if ss, ok := v.Right.(sqlast.ScalarSubquery); ok {
-					scope(ss.Query)
-				}
-				return v
-			default:
-				return e
-			}
-		}
-		if q.Where != nil {
-			q.Where = fixExpr(q.Where)
-		}
-		if q.Having != nil {
-			q.Having = fixExpr(q.Having)
+			return ref
+		},
+	})
+	return changed
+}
+
+// scopeTables records each walked query scope with those of its FROM
+// tables that resolve in the schema.
+type scopeTables []scopeFrom
+
+type scopeFrom struct {
+	q     *sqlast.Query
+	froms []*schema.Table
+}
+
+func (st *scopeTables) enter(s *schema.Schema, q *sqlast.Query) {
+	sf := scopeFrom{q: q}
+	for _, tn := range q.From.Tables {
+		if t := s.Table(tn); t != nil {
+			sf.froms = append(sf.froms, t)
 		}
 	}
-	scope(q)
-	return changed
+	*st = append(*st, sf)
+}
+
+func (st scopeTables) of(q *sqlast.Query) []*schema.Table {
+	for i := len(st) - 1; i >= 0; i-- {
+		if st[i].q == q {
+			return st[i].froms
+		}
+	}
+	return nil
 }
 
 // minRepairSimilarity is the floor under which an identifier is left
@@ -795,9 +759,15 @@ const minRepairSimilarity = 0.25
 // by the SplitMix64 hash of (seed, entry) — deterministic for a fixed
 // seed, uncorrelated with lexicon order.
 func (c *Critic) nearest(got string, lexicon []string) (string, bool) {
+	got = strings.ToLower(got)
+	gotSet := tokens.BigramSet(got)
 	best, bestScore, bestTie := "", -1.0, uint64(0)
 	for _, cand := range lexicon {
-		score := tokens.BigramJaccard(strings.ToLower(got), strings.ToLower(cand))
+		score := 1.0
+		if lc := strings.ToLower(cand); lc != got {
+			cs := tokens.BigramSet(lc)
+			score = tokens.Jaccard(tokens.Intersect(gotSet, cs), len(gotSet), len(cs))
+		}
 		tie := c.tieKey(cand)
 		if score > bestScore || (score == bestScore && tie < bestTie) {
 			best, bestScore, bestTie = cand, score, tie
@@ -822,73 +792,30 @@ func (c *Critic) tieKey(name string) uint64 {
 // wrapped in stray quotes likewise.
 func (c *Critic) coerceLiterals(q *sqlast.Query) bool {
 	changed := false
-	var scope func(q *sqlast.Query)
-	scope = func(q *sqlast.Query) {
-		if q == nil || q.From.JoinPlaceholder {
-			return
-		}
-		var froms []*schema.Table
-		for _, tn := range q.From.Tables {
-			if t := c.s.Table(tn); t != nil {
-				froms = append(froms, t)
+	var scopes scopeTables
+	sqlast.Walk(q, sqlast.Visitor{
+		Scope: func(s *sqlast.Query) bool {
+			if s.From.JoinPlaceholder {
+				return false
 			}
-		}
-		coerce := func(col *schema.Column, o sqlast.Operand) sqlast.Operand {
+			scopes.enter(c.s, s)
+			return true
+		},
+		Operand: func(s *sqlast.Query, left *sqlast.ColumnRef, op sqlast.CmpOp, o sqlast.Operand) (sqlast.CmpOp, sqlast.Operand) {
 			v, ok := o.(sqlast.Value)
-			if !ok || col == nil {
-				if ss, isSub := o.(sqlast.ScalarSubquery); isSub {
-					scope(ss.Query)
-				}
-				return o
+			if !ok || v.IsNum || left == nil {
+				return op, o
 			}
-			if col.Type == schema.Number && !v.IsNum {
-				if n, err := strconv.ParseFloat(strings.TrimSpace(v.Str), 64); err == nil {
-					changed = true
-					return sqlast.NumValue(n)
-				}
+			if col, _ := c.resolveCol(*left, scopes.of(s)); col == nil || col.Type != schema.Number {
+				return op, o
 			}
-			return o
-		}
-		var walk func(e sqlast.Expr) sqlast.Expr
-		walk = func(e sqlast.Expr) sqlast.Expr {
-			switch v := e.(type) {
-			case sqlast.Logic:
-				v.Left, v.Right = walk(v.Left), walk(v.Right)
-				return v
-			case sqlast.Not:
-				v.Inner = walk(v.Inner)
-				return v
-			case sqlast.Comparison:
-				col, _ := c.resolveCol(v.Left, froms)
-				v.Right = coerce(col, v.Right)
-				return v
-			case sqlast.Between:
-				col, _ := c.resolveCol(v.Col, froms)
-				v.Lo, v.Hi = coerce(col, v.Lo), coerce(col, v.Hi)
-				return v
-			case sqlast.InSubquery:
-				scope(v.Query)
-				return v
-			case sqlast.Exists:
-				scope(v.Query)
-				return v
-			case sqlast.HavingCond:
-				if ss, ok := v.Right.(sqlast.ScalarSubquery); ok {
-					scope(ss.Query)
-				}
-				return v
-			default:
-				return e
+			if n, err := strconv.ParseFloat(strings.TrimSpace(v.Str), 64); err == nil {
+				changed = true
+				return op, sqlast.NumValue(n)
 			}
-		}
-		if q.Where != nil {
-			q.Where = walk(q.Where)
-		}
-		if q.Having != nil {
-			q.Having = walk(q.Having)
-		}
-	}
-	scope(q)
+			return op, o
+		},
+	})
 	return changed
 }
 

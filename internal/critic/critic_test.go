@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
+	"repro/internal/tokens"
 )
 
 // testDB builds a small, hand-checkable hospital database.
@@ -146,6 +147,42 @@ func TestRepairIdentifiers(t *testing.T) {
 		}
 		if q.String() != sqlast.MustParse(tc.in).String() {
 			t.Errorf("Repair(%q) mutated its input", tc.in)
+		}
+	}
+}
+
+// nearest builds got's bigram set once per call; its pick must equal
+// the per-entry tokens.BigramJaccard scoring it replaced, ties, exact
+// matches (empty names too) and the similarity floor included.
+func TestNearestMatchesBigramJaccard(t *testing.T) {
+	c := newCritic(t, Config{Seed: 1})
+	ref := func(got string, lexicon []string) (string, bool) {
+		best, bestScore, bestTie := "", -1.0, uint64(0)
+		for _, cand := range lexicon {
+			score := tokens.BigramJaccard(strings.ToLower(got), strings.ToLower(cand))
+			tie := c.tieKey(cand)
+			if score > bestScore || (score == bestScore && tie < bestTie) {
+				best, bestScore, bestTie = cand, score, tie
+			}
+		}
+		if bestScore < minRepairSimilarity {
+			return "", false
+		}
+		return best, true
+	}
+	lexicons := [][]string{
+		c.tables,
+		{"id", "name", "age", "diagnosis", "patient_id", "cost", "Name", "NAME", "a", "", "日本"},
+		{"", "x"},
+		nil,
+	}
+	for _, lex := range lexicons {
+		for _, got := range []string{"", "a", "A", "nme", "NAME", "diagnosi", "patiens", "PATIENTS", "xqzw", "日本語", "\xff", "ag", "visits2"} {
+			gb, gok := c.nearest(got, lex)
+			wb, wok := ref(got, lex)
+			if gb != wb || gok != wok {
+				t.Errorf("nearest(%q, %q) = %q %v, want %q %v", got, lex, gb, gok, wb, wok)
+			}
 		}
 	}
 }

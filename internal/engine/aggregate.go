@@ -51,7 +51,7 @@ func (ex *executor) aggregate(q *sqlast.Query, b *binding, rows []Row) (*Result,
 	// HAVING filter.
 	var kept []*group
 	for _, g := range groups {
-		ok, err := ex.evalHaving(q.Having, b, g)
+		ok, err := ex.evalHaving(q.Having, b, g, keyPos)
 		if err != nil {
 			return nil, err
 		}
@@ -203,16 +203,16 @@ func (ex *executor) computeAgg(sel sqlast.SelectItem, b *binding, rows []Row) (V
 }
 
 // evalHaving evaluates a HAVING condition for one group.
-func (ex *executor) evalHaving(e sqlast.Expr, b *binding, g *group) (bool, error) {
+func (ex *executor) evalHaving(e sqlast.Expr, b *binding, g *group, keyPos []int) (bool, error) {
 	switch v := e.(type) {
 	case nil:
 		return true, nil
 	case sqlast.Logic:
-		left, err := ex.evalHaving(v.Left, b, g)
+		left, err := ex.evalHaving(v.Left, b, g, keyPos)
 		if err != nil {
 			return false, err
 		}
-		right, err := ex.evalHaving(v.Right, b, g)
+		right, err := ex.evalHaving(v.Right, b, g, keyPos)
 		if err != nil {
 			return false, err
 		}
@@ -221,7 +221,7 @@ func (ex *executor) evalHaving(e sqlast.Expr, b *binding, g *group) (bool, error
 		}
 		return left || right, nil
 	case sqlast.Not:
-		inner, err := ex.evalHaving(v.Inner, b, g)
+		inner, err := ex.evalHaving(v.Inner, b, g, keyPos)
 		if err != nil {
 			return false, err
 		}
@@ -231,9 +231,15 @@ func (ex *executor) evalHaving(e sqlast.Expr, b *binding, g *group) (bool, error
 		if err != nil {
 			return false, err
 		}
-		// The RHS of a HAVING comparison is a constant or scalar
-		// subquery; it never references group rows.
-		rhs, err := ex.evalOperand(v.Right, b, nil)
+		// A column on the RHS is valued per group like a bare select
+		// column (a GROUP BY key, else a grouping error); any other
+		// operand is a constant or scalar subquery.
+		var rhs Value
+		if c, ok := v.Right.(sqlast.ColOperand); ok {
+			rhs, err = ex.evalAggItem(sqlast.SelectItem{Col: c.Col}, b, g, keyPos, nil)
+		} else {
+			rhs, err = ex.evalOperand(v.Right, b, nil)
+		}
 		if err != nil {
 			return false, err
 		}

@@ -172,6 +172,21 @@ func TestHaving(t *testing.T) {
 	}
 }
 
+// A column on the right of a HAVING comparison takes its group's value
+// when it is a GROUP BY key, and is a grouping error otherwise, never a
+// panic on the group's missing row.
+func TestHavingColumnOperand(t *testing.T) {
+	db := testDB(t)
+	res := exec(t, db, "SELECT patient_id FROM visits GROUP BY patient_id HAVING MAX(cost) > patient_id")
+	if len(res.Rows) != 2 {
+		t.Fatalf("grouped-key RHS rows = %v", res.Rows)
+	}
+	err := execErr(t, db, "SELECT patient_id FROM visits GROUP BY patient_id HAVING MAX(cost) > cost")
+	if ErrKindOf(err) != ErrGrouping {
+		t.Fatalf("ungrouped RHS error = %v, want a grouping error", err)
+	}
+}
+
 func TestOrderLimit(t *testing.T) {
 	db := testDB(t)
 	res := exec(t, db, "SELECT name FROM patients ORDER BY age DESC")

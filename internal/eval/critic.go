@@ -149,30 +149,15 @@ func criticBindings(q *sqlast.Query, db *engine.Database) []runtime.Binding {
 		}
 		out = append(out, runtime.Binding{Placeholder: ph.Name, Value: val})
 	}
-	var walkExpr func(e sqlast.Expr)
-	walkExpr = func(e sqlast.Expr) {
-		switch v := e.(type) {
-		case sqlast.Logic:
-			walkExpr(v.Left)
-			walkExpr(v.Right)
-		case sqlast.Not:
-			walkExpr(v.Inner)
-		case sqlast.Comparison:
-			add(v.Right)
-		case sqlast.Between:
-			add(v.Lo)
-			add(v.Hi)
-		case sqlast.HavingCond:
-			add(v.Right)
-		}
-	}
+	// Scope by scope, print order within a scope.
 	sqlast.WalkQueries(q, func(sub *sqlast.Query) {
-		for _, e := range sqlast.Conjuncts(sub.Where) {
-			walkExpr(e)
-		}
-		for _, e := range sqlast.Conjuncts(sub.Having) {
-			walkExpr(e)
-		}
+		sqlast.Walk(sub, sqlast.Visitor{
+			Scope: func(s *sqlast.Query) bool { return s == sub },
+			Operand: func(_ *sqlast.Query, _ *sqlast.ColumnRef, op sqlast.CmpOp, o sqlast.Operand) (sqlast.CmpOp, sqlast.Operand) {
+				add(o)
+				return op, o
+			},
+		})
 	})
 	return out
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/boot"
@@ -88,6 +89,72 @@ func TestCriticReportGolden(t *testing.T) {
 			Questions: 60,
 			Off:       CriticArm{Valid: Frac{33, 60}, Exact: Frac{9, 60}},
 			On:        CriticArm{Valid: Frac{54, 60}, Exact: Frac{13, 60}, Repaired: 21, Rejected: 6},
+		}},
+		{3, CriticReport{
+			Questions: 60,
+			Off:       CriticArm{Valid: Frac{33, 60}, Exact: Frac{9, 60}},
+			On:        CriticArm{Valid: Frac{54, 60}, Exact: Frac{13, 60}, Repaired: 21, Rejected: 6},
+		}},
+	} {
+		rep, err := EvalCriticCtx(context.Background(), model, u.Schema, u.DB, qs, tc.execGuided, critic.Config{Seed: 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*rep, tc.want) {
+			t.Errorf("execGuided %d: report %#v, want %#v", tc.execGuided, *rep, tc.want)
+		}
+	}
+}
+
+// failingTop is a beam model over a one-candidate translator: its beam
+// puts a candidate that cannot execute (every known column name gains
+// a "_x" suffix) ahead of the inner model's answer, and its plain
+// Translate returns that failing top candidate alone.
+type failingTop struct {
+	models.Translator
+	cols map[string]bool
+}
+
+func (m failingTop) Translate(nl, schemaToks []string) []string {
+	return m.TranslateK(nl, schemaToks, 1)[0]
+}
+
+func (m failingTop) TranslateK(nl, schemaToks []string, k int) [][]string {
+	good := m.Translator.Translate(nl, schemaToks)
+	bad := make([]string, len(good))
+	for i, tok := range good {
+		bad[i] = tok
+		if m.cols[strings.ToLower(tok)] {
+			bad[i] = tok + "_x"
+		}
+	}
+	return [][]string{bad, good}[:min(k, 2)]
+}
+
+// The multi-candidate eval path: with a beam whose top candidate fails,
+// exec-guided finalization over three candidates must answer what the
+// top-1 walk cannot, so the two beam widths give different reports.
+// Both reports were recorded before the critic's identifier repair
+// shared the query traversal.
+func TestCriticReportBeamGolden(t *testing.T) {
+	u, _, qs := corruptedFixture(t)
+	cols := map[string]bool{}
+	var names []string
+	for _, tab := range u.Schema.Tables {
+		for _, c := range tab.Columns {
+			cols[strings.ToLower(c.Name)] = true
+			names = append(names, c.Name)
+		}
+	}
+	model := fault.NewTypos(failingTop{Translator: u.Model, cols: cols}, fault.NewInjector(1, 2), names)
+	for _, tc := range []struct {
+		execGuided int
+		want       CriticReport
+	}{
+		{1, CriticReport{
+			Questions: 60,
+			Off:       CriticArm{Valid: Frac{10, 60}, Exact: Frac{5, 60}},
+			On:        CriticArm{Valid: Frac{54, 60}, Exact: Frac{13, 60}, Repaired: 44, Rejected: 6},
 		}},
 		{3, CriticReport{
 			Questions: 60,

@@ -2,6 +2,7 @@ package hyperopt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -78,7 +79,7 @@ func TestSurrogateSearchDeterminism(t *testing.T) {
 
 func TestNormalizeBounds(t *testing.T) {
 	space := DefaultSpace()
-	p := space.midpoint()
+	p := space.Sample(rand.New(rand.NewSource(1)))
 	x := normalize(space, p)
 	if len(x) != 10 {
 		t.Fatalf("normalized dim = %d", len(x))

@@ -22,8 +22,7 @@ import (
 //     table that matches none of the used columns is replaced.
 func PostProcess(q *sqlast.Query, s *schema.Schema, bindings []Binding) (*sqlast.Query, error) {
 	out := q.Clone()
-	r := &restorer{bindings: bindings}
-	if err := r.restoreQuery(out); err != nil {
+	if err := restore(out, bindings); err != nil {
 		return nil, err
 	}
 	if err := repairFrom(out, s); err != nil {
@@ -83,95 +82,27 @@ func (r *restorer) take(name string) (sqlast.Value, bool) {
 	return sqlast.Value{}, false
 }
 
-func (r *restorer) restoreQuery(q *sqlast.Query) error {
+// restore replaces the query's placeholder operands, in print order,
+// with their recorded constants (LIKE operands gain % wildcards).
+func restore(q *sqlast.Query, bindings []Binding) error {
+	r := &restorer{bindings: bindings}
 	var err error
-	q.Where, err = r.restoreExpr(q.Where)
-	if err != nil {
-		return err
-	}
-	q.Having, err = r.restoreExpr(q.Having)
-	return err
-}
-
-func (r *restorer) restoreExpr(e sqlast.Expr) (sqlast.Expr, error) {
-	switch v := e.(type) {
-	case nil:
-		return nil, nil
-	case sqlast.Logic:
-		l, err := r.restoreExpr(v.Left)
-		if err != nil {
-			return nil, err
+	sqlast.Walk(q, sqlast.Visitor{Operand: func(_ *sqlast.Query, left *sqlast.ColumnRef, op sqlast.CmpOp, o sqlast.Operand) (sqlast.CmpOp, sqlast.Operand) {
+		p, ok := o.(sqlast.Placeholder)
+		if !ok || err != nil || strings.EqualFold(p.Name, "JOIN") {
+			return op, o
 		}
-		rr, err := r.restoreExpr(v.Right)
-		if err != nil {
-			return nil, err
-		}
-		return sqlast.Logic{Op: v.Op, Left: l, Right: rr}, nil
-	case sqlast.Not:
-		in, err := r.restoreExpr(v.Inner)
-		if err != nil {
-			return nil, err
-		}
-		return sqlast.Not{Inner: in}, nil
-	case sqlast.Comparison:
-		op, err := r.restoreOperand(v.Right, v.Op == sqlast.OpLike)
-		if err != nil {
-			return nil, err
-		}
-		return sqlast.Comparison{Left: v.Left, Op: v.Op, Right: op}, nil
-	case sqlast.Between:
-		lo, err := r.restoreOperand(v.Lo, false)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := r.restoreOperand(v.Hi, false)
-		if err != nil {
-			return nil, err
-		}
-		return sqlast.Between{Col: v.Col, Lo: lo, Hi: hi}, nil
-	case sqlast.InSubquery:
-		if err := r.restoreQuery(v.Query); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case sqlast.Exists:
-		if err := r.restoreQuery(v.Query); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case sqlast.HavingCond:
-		op, err := r.restoreOperand(v.Right, false)
-		if err != nil {
-			return nil, err
-		}
-		return sqlast.HavingCond{Item: v.Item, Op: v.Op, Right: op}, nil
-	default:
-		return e, nil
-	}
-}
-
-func (r *restorer) restoreOperand(o sqlast.Operand, like bool) (sqlast.Operand, error) {
-	switch v := o.(type) {
-	case sqlast.Placeholder:
-		if strings.EqualFold(v.Name, "JOIN") {
-			return o, nil
-		}
-		val, ok := r.take(v.Name)
+		val, ok := r.take(p.Name)
 		if !ok {
-			return nil, fmt.Errorf("runtime: no constant recorded for placeholder @%s", v.Name)
+			err = fmt.Errorf("runtime: no constant recorded for placeholder @%s", p.Name)
+			return op, o
 		}
-		if like && !val.IsNum {
-			return sqlast.StrValue("%" + val.Str + "%"), nil
+		if left != nil && op == sqlast.OpLike && !val.IsNum {
+			val = sqlast.StrValue("%" + val.Str + "%")
 		}
-		return val, nil
-	case sqlast.ScalarSubquery:
-		if err := r.restoreQuery(v.Query); err != nil {
-			return nil, err
-		}
-		return v, nil
-	default:
-		return o, nil
-	}
+		return op, val
+	}})
+	return err
 }
 
 // repairFrom resolves @JOIN and fixes table/column mismatches on the
@@ -235,47 +166,23 @@ func neededTables(q *sqlast.Query, s *schema.Schema) []string {
 			out = append(out, s.Table(t).Name)
 		}
 	}
-	for _, c := range collectOuterColumns(q) {
-		if c.Table != "" {
-			add(c.Table)
-			continue
-		}
-		owners := s.TablesWithColumn(c.Column)
-		if len(owners) == 1 {
-			add(owners[0])
-		}
-	}
+	// The scope's own columns only: subqueries repair their own FROM.
+	sqlast.Walk(q, sqlast.Visitor{
+		Scope: func(sub *sqlast.Query) bool { return sub == q },
+		Column: func(_ *sqlast.Query, c sqlast.ColumnRef) sqlast.ColumnRef {
+			switch {
+			case c.Column == "" || c.Column == "*":
+			case c.Table != "":
+				add(c.Table)
+			default:
+				if owners := s.TablesWithColumn(c.Column); len(owners) == 1 {
+					add(owners[0])
+				}
+			}
+			return c
+		},
+	})
 	return out
-}
-
-// collectOuterColumns gathers columns of the outer query only
-// (subqueries repair their own FROM).
-func collectOuterColumns(q *sqlast.Query) []sqlast.ColumnRef {
-	shallow := q.Clone()
-	shallow.Where = stripSubqueries(shallow.Where)
-	shallow.Having = stripSubqueries(shallow.Having)
-	return shallow.Columns()
-}
-
-func stripSubqueries(e sqlast.Expr) sqlast.Expr {
-	switch v := e.(type) {
-	case sqlast.Logic:
-		return sqlast.Logic{Op: v.Op, Left: stripSubqueries(v.Left), Right: stripSubqueries(v.Right)}
-	case sqlast.Not:
-		return sqlast.Not{Inner: stripSubqueries(v.Inner)}
-	case sqlast.InSubquery:
-		// Keep the outer column, drop the subquery.
-		return sqlast.Comparison{Left: v.Col, Op: sqlast.OpEq, Right: sqlast.NumValue(0)}
-	case sqlast.Exists:
-		return sqlast.Comparison{Left: sqlast.ColumnRef{}, Op: sqlast.OpEq, Right: sqlast.NumValue(0)}
-	case sqlast.Comparison:
-		if _, ok := v.Right.(sqlast.ScalarSubquery); ok {
-			return sqlast.Comparison{Left: v.Left, Op: v.Op, Right: sqlast.NumValue(0)}
-		}
-		return v
-	default:
-		return e
-	}
 }
 
 // connectTables sets FROM to the needed tables plus any intermediate
@@ -337,50 +244,10 @@ func qualifyColumns(q *sqlast.Query, s *schema.Schema, tables []string) {
 		}
 		return c
 	}
-	for i := range q.Select {
-		if !q.Select[i].Star {
-			q.Select[i].Col = owner(q.Select[i].Col)
-		}
-	}
-	q.Where = mapExprCols(q.Where, owner)
-	for i := range q.GroupBy {
-		q.GroupBy[i] = owner(q.GroupBy[i])
-	}
-	q.Having = mapExprCols(q.Having, owner)
-	for i := range q.OrderBy {
-		if !q.OrderBy[i].Item.Star {
-			q.OrderBy[i].Item.Col = owner(q.OrderBy[i].Item.Col)
-		}
-	}
-}
-
-func mapExprCols(e sqlast.Expr, f func(sqlast.ColumnRef) sqlast.ColumnRef) sqlast.Expr {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case sqlast.Logic:
-		return sqlast.Logic{Op: v.Op, Left: mapExprCols(v.Left, f), Right: mapExprCols(v.Right, f)}
-	case sqlast.Not:
-		return sqlast.Not{Inner: mapExprCols(v.Inner, f)}
-	case sqlast.Comparison:
-		right := v.Right
-		if c, ok := right.(sqlast.ColOperand); ok {
-			right = sqlast.ColOperand{Col: f(c.Col)}
-		}
-		return sqlast.Comparison{Left: f(v.Left), Op: v.Op, Right: right}
-	case sqlast.Between:
-		return sqlast.Between{Col: f(v.Col), Lo: v.Lo, Hi: v.Hi}
-	case sqlast.InSubquery:
-		return sqlast.InSubquery{Col: f(v.Col), Query: v.Query, Negated: v.Negated}
-	case sqlast.HavingCond:
-		item := v.Item
-		if !item.Star {
-			item.Col = f(item.Col)
-		}
-		return sqlast.HavingCond{Item: item, Op: v.Op, Right: v.Right}
-	default:
-		return e
-	}
+	sqlast.Walk(q, sqlast.Visitor{
+		Scope:  func(sub *sqlast.Query) bool { return sub == q },
+		Column: func(_ *sqlast.Query, c sqlast.ColumnRef) sqlast.ColumnRef { return owner(c) },
+	})
 }
 
 func containsFold(list []string, x string) bool {

@@ -767,17 +767,19 @@ func (tr *Translator) FinalizeCandidatesContext(ctx context.Context, candidates 
 		verdicts = make([]string, 0, len(candidates))
 	}
 	for _, sqlToks := range candidates {
+		// firstErr is the plain path's answer only: a beam a critic
+		// reviewed fails with *RejectedError.
 		pq, perr := sqlast.ParseTokens(sqlToks)
-		if perr != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("runtime: model output unparsable (%q): %w", strings.Join(sqlToks, " "), perr)
-			}
-		} else if pq, perr = PostProcess(pq, tr.DB.Schema, bindings); perr != nil && firstErr == nil {
-			firstErr = perr
+		if perr == nil {
+			pq, perr = PostProcess(pq, tr.DB.Schema, bindings)
+		} else if crit == nil && firstErr == nil {
+			firstErr = fmt.Errorf("runtime: model output unparsable (%q): %w", strings.Join(sqlToks, " "), perr)
 		}
 		if perr != nil {
 			if crit != nil {
 				verdicts = append(verdicts, "unusable: "+perr.Error())
+			} else if firstErr == nil {
+				firstErr = perr
 			}
 			continue
 		}

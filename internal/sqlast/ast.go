@@ -547,107 +547,31 @@ func AndAll(exprs []Expr) Expr {
 	return out
 }
 
-// WalkQueries visits q and every subquery nested inside it.
+// WalkQueries visits q and every subquery nested inside it, each
+// before the subqueries nested in it.
 func WalkQueries(q *Query, fn func(*Query)) {
-	if q == nil {
-		return
-	}
-	fn(q)
-	walkExprQueries(q.Where, fn)
-	walkExprQueries(q.Having, fn)
-}
-
-func walkExprQueries(e Expr, fn func(*Query)) {
-	switch v := e.(type) {
-	case nil:
-	case Logic:
-		walkExprQueries(v.Left, fn)
-		walkExprQueries(v.Right, fn)
-	case Not:
-		walkExprQueries(v.Inner, fn)
-	case Comparison:
-		if s, ok := v.Right.(ScalarSubquery); ok {
-			WalkQueries(s.Query, fn)
-		}
-	case Between:
-		if s, ok := v.Lo.(ScalarSubquery); ok {
-			WalkQueries(s.Query, fn)
-		}
-		if s, ok := v.Hi.(ScalarSubquery); ok {
-			WalkQueries(s.Query, fn)
-		}
-	case InSubquery:
-		WalkQueries(v.Query, fn)
-	case Exists:
-		WalkQueries(v.Query, fn)
-	case HavingCond:
-		if s, ok := v.Right.(ScalarSubquery); ok {
-			WalkQueries(s.Query, fn)
-		}
-	}
+	Walk(q, Visitor{Scope: func(s *Query) bool { fn(s); return true }})
 }
 
 // Columns returns every column referenced anywhere in the query,
-// including subqueries, in first-appearance order.
+// including subqueries, in first-appearance order: scope by scope (a
+// subquery's columns after its parent's), print order within a scope.
 func (q *Query) Columns() []ColumnRef {
 	var out []ColumnRef
 	seen := map[ColumnRef]bool{}
-	add := func(c ColumnRef) {
-		if c.Column == "" || c.Column == "*" {
-			return
-		}
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
 	WalkQueries(q, func(sub *Query) {
-		for _, s := range sub.Select {
-			if !s.Star {
-				add(s.Col)
-			}
-		}
-		for _, e := range Conjuncts(sub.Where) {
-			addExprCols(e, add)
-		}
-		for _, c := range sub.GroupBy {
-			add(c)
-		}
-		for _, e := range Conjuncts(sub.Having) {
-			addExprCols(e, add)
-		}
-		for _, o := range sub.OrderBy {
-			if !o.Item.Star {
-				add(o.Item.Col)
-			}
-		}
+		Walk(sub, Visitor{
+			Scope: func(s *Query) bool { return s == sub },
+			Column: func(_ *Query, c ColumnRef) ColumnRef {
+				if c.Column != "" && c.Column != "*" && !seen[c] {
+					seen[c] = true
+					out = append(out, c)
+				}
+				return c
+			},
+		})
 	})
 	return out
-}
-
-func addExprCols(e Expr, add func(ColumnRef)) {
-	switch v := e.(type) {
-	case nil:
-	case Logic:
-		addExprCols(v.Left, add)
-		addExprCols(v.Right, add)
-	case Not:
-		addExprCols(v.Inner, add)
-	case Comparison:
-		add(v.Left)
-		if c, ok := v.Right.(ColOperand); ok {
-			add(c.Col)
-		}
-	case Between:
-		add(v.Col)
-	case InSubquery:
-		add(v.Col)
-	case Exists:
-	case HavingCond:
-		if !v.Item.Star {
-			add(v.Item.Col)
-		}
-	}
 }
 
 // HasSubquery reports whether the query contains any nested subquery.

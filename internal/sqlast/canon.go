@@ -13,7 +13,30 @@ import (
 // are "exact match equal" iff their Canonical strings are equal.
 func (q *Query) Canonical() string {
 	c := q.Clone()
-	canonQuery(c)
+	var scopes []*Query
+	Walk(c, Visitor{
+		Scope: func(s *Query) bool {
+			for i, t := range s.From.Tables {
+				s.From.Tables[i] = strings.ToLower(t)
+			}
+			sort.Strings(s.From.Tables)
+			scopes = append(scopes, s)
+			return true
+		},
+		Column: func(_ *Query, c ColumnRef) ColumnRef { return canonCol(c) },
+		Operand: func(_ *Query, _ *ColumnRef, op CmpOp, o Operand) (CmpOp, Operand) {
+			if p, ok := o.(Placeholder); ok {
+				return op, Placeholder{Name: strings.ToUpper(p.Name)}
+			}
+			return op, o
+		},
+	})
+	// Conjuncts sort by their rendering, which includes the subqueries
+	// they hold: sort innermost scopes first.
+	for i := len(scopes) - 1; i >= 0; i-- {
+		scopes[i].Where = sortConjuncts(scopes[i].Where)
+		scopes[i].Having = sortConjuncts(scopes[i].Having)
+	}
 	return c.String()
 }
 
@@ -26,72 +49,8 @@ func EqualCanonical(a, b *Query) bool {
 	return a.Canonical() == b.Canonical()
 }
 
-func canonQuery(q *Query) {
-	for i := range q.Select {
-		q.Select[i].Col = canonCol(q.Select[i].Col)
-	}
-	for i, t := range q.From.Tables {
-		q.From.Tables[i] = strings.ToLower(t)
-	}
-	sort.Strings(q.From.Tables)
-	q.Where = canonExpr(q.Where)
-	q.Where = sortConjuncts(q.Where)
-	for i := range q.GroupBy {
-		q.GroupBy[i] = canonCol(q.GroupBy[i])
-	}
-	q.Having = canonExpr(q.Having)
-	q.Having = sortConjuncts(q.Having)
-	for i := range q.OrderBy {
-		q.OrderBy[i].Item.Col = canonCol(q.OrderBy[i].Item.Col)
-	}
-}
-
 func canonCol(c ColumnRef) ColumnRef {
 	return ColumnRef{Table: strings.ToLower(c.Table), Column: strings.ToLower(c.Column)}
-}
-
-func canonExpr(e Expr) Expr {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case Logic:
-		return Logic{Op: v.Op, Left: canonExpr(v.Left), Right: canonExpr(v.Right)}
-	case Not:
-		return Not{Inner: canonExpr(v.Inner)}
-	case Comparison:
-		return Comparison{Left: canonCol(v.Left), Op: v.Op, Right: canonOperand(v.Right)}
-	case Between:
-		return Between{Col: canonCol(v.Col), Lo: canonOperand(v.Lo), Hi: canonOperand(v.Hi)}
-	case InSubquery:
-		sub := v.Query.Clone()
-		canonQuery(sub)
-		return InSubquery{Col: canonCol(v.Col), Query: sub, Negated: v.Negated}
-	case Exists:
-		sub := v.Query.Clone()
-		canonQuery(sub)
-		return Exists{Query: sub, Negated: v.Negated}
-	case HavingCond:
-		item := v.Item
-		item.Col = canonCol(item.Col)
-		return HavingCond{Item: item, Op: v.Op, Right: canonOperand(v.Right)}
-	default:
-		return e
-	}
-}
-
-func canonOperand(o Operand) Operand {
-	switch v := o.(type) {
-	case Placeholder:
-		return Placeholder{Name: strings.ToUpper(v.Name)}
-	case ColOperand:
-		return ColOperand{Col: canonCol(v.Col)}
-	case ScalarSubquery:
-		sub := v.Query.Clone()
-		canonQuery(sub)
-		return ScalarSubquery{Query: sub}
-	default:
-		return o
-	}
 }
 
 // sortConjuncts sorts top-level AND conjuncts by their rendering so

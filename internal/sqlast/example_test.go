@@ -37,3 +37,37 @@ func ExampleQueryDifficulty() {
 	fmt.Println(sqlast.QueryDifficulty(q))
 	// Output: Very Hard
 }
+
+// Walk visits sites in print order and enters each subquery where it
+// occurs, BETWEEN bounds and HAVING right-hand sides included.
+func ExampleWalk() {
+	q := sqlast.MustParse("SELECT a FROM t WHERE b BETWEEN (SELECT MIN(c) FROM u WHERE d = @U.D) AND e GROUP BY a HAVING COUNT(*) > f")
+	sqlast.Walk(q, sqlast.Visitor{
+		Scope: func(s *sqlast.Query) bool {
+			fmt.Println("scope", s.From)
+			return true
+		},
+		Column: func(s *sqlast.Query, c sqlast.ColumnRef) sqlast.ColumnRef {
+			fmt.Println("  column", c, "in", s.From)
+			return c
+		},
+		Operand: func(s *sqlast.Query, left *sqlast.ColumnRef, op sqlast.CmpOp, o sqlast.Operand) (sqlast.CmpOp, sqlast.Operand) {
+			fmt.Println("  operand", o, "left", left != nil, op)
+			return op, o
+		},
+	})
+	// Output:
+	// scope t
+	//   column a in t
+	//   column b in t
+	//   operand (SELECT MIN(c) FROM u WHERE d = @U.D) left true >=
+	// scope u
+	//   column c in u
+	//   column d in u
+	//   operand @U.D left true =
+	//   operand e left true <=
+	//   column e in t
+	//   column a in t
+	//   operand f left false >
+	//   column f in t
+}

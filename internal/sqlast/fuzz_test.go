@@ -4,26 +4,28 @@ import (
 	"testing"
 )
 
+// parseSeeds is the seed corpus of FuzzParse and FuzzRewriteDifferential.
+var parseSeeds = []string{
+	"SELECT * FROM t",
+	"SELECT a, b FROM t WHERE x = 1 AND y != 'two' OR z < 3.5",
+	"SELECT COUNT(DISTINCT a) FROM t GROUP BY b HAVING COUNT(*) > 2",
+	"SELECT t.a FROM @JOIN WHERE u.b = @U.B ORDER BY t.c DESC LIMIT 5",
+	"SELECT a FROM t WHERE n = (SELECT MAX(n) FROM t WHERE s LIKE '%x%')",
+	"SELECT a FROM t WHERE k NOT IN (SELECT f FROM u) AND m BETWEEN 1 AND 2",
+	"select a from t where not exists (select * from u);",
+	"SELECT",
+	"'unterminated",
+	"@@@",
+	"SELECT a FROM t WHERE s = 'it''s'",
+	"SELECT ( FROM",
+}
+
 // FuzzParse asserts the parser never panics and that anything it
 // accepts round-trips through the printer to a canonically equal
 // query. Run with `go test -fuzz=FuzzParse ./internal/sqlast` to
 // explore; the seed corpus runs in every ordinary `go test`.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"SELECT * FROM t",
-		"SELECT a, b FROM t WHERE x = 1 AND y != 'two' OR z < 3.5",
-		"SELECT COUNT(DISTINCT a) FROM t GROUP BY b HAVING COUNT(*) > 2",
-		"SELECT t.a FROM @JOIN WHERE u.b = @U.B ORDER BY t.c DESC LIMIT 5",
-		"SELECT a FROM t WHERE n = (SELECT MAX(n) FROM t WHERE s LIKE '%x%')",
-		"SELECT a FROM t WHERE k NOT IN (SELECT f FROM u) AND m BETWEEN 1 AND 2",
-		"select a from t where not exists (select * from u);",
-		"SELECT",
-		"'unterminated",
-		"@@@",
-		"SELECT a FROM t WHERE s = 'it''s'",
-		"SELECT ( FROM",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

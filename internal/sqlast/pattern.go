@@ -13,36 +13,33 @@ import (
 // breakdown).
 func (q *Query) Pattern() string {
 	c := q.Clone()
-	patternQuery(c)
+	Walk(c, Visitor{
+		Scope: func(s *Query) bool {
+			// The @JOIN placeholder and a multi-table FROM are the
+			// same pattern once resolved; normalize to a single J
+			// marker.
+			if s.From.JoinPlaceholder || len(s.From.Tables) > 1 {
+				s.From = From{Tables: []string{"J"}}
+			} else {
+				s.From = From{Tables: []string{"T"}}
+			}
+			// LIMIT 1 (argmax) is its own pattern; any larger
+			// constant is the generic top-k pattern.
+			if s.Limit > 1 {
+				s.Limit = 2
+			}
+			return true
+		},
+		Column: func(_ *Query, c ColumnRef) ColumnRef { return patternCol(c) },
+		Operand: func(_ *Query, _ *ColumnRef, op CmpOp, o Operand) (CmpOp, Operand) {
+			switch o.(type) {
+			case Value, Placeholder:
+				o = Placeholder{Name: "V"}
+			}
+			return patternOp(op), o
+		},
+	})
 	return c.String()
-}
-
-func patternQuery(q *Query) {
-	for i := range q.Select {
-		q.Select[i].Col = patternCol(q.Select[i].Col)
-	}
-	if q.From.JoinPlaceholder {
-		// The @JOIN placeholder and a multi-table FROM are the same
-		// pattern once resolved; normalize to a single J marker.
-		q.From = From{Tables: []string{"J"}}
-	} else if len(q.From.Tables) > 1 {
-		q.From = From{Tables: []string{"J"}}
-	} else {
-		q.From = From{Tables: []string{"T"}}
-	}
-	q.Where = patternExpr(q.Where)
-	for i := range q.GroupBy {
-		q.GroupBy[i] = patternCol(q.GroupBy[i])
-	}
-	q.Having = patternExpr(q.Having)
-	for i := range q.OrderBy {
-		q.OrderBy[i].Item.Col = patternCol(q.OrderBy[i].Item.Col)
-	}
-	// LIMIT 1 (argmax) is its own pattern; any larger constant is the
-	// generic top-k pattern.
-	if q.Limit > 1 {
-		q.Limit = 2
-	}
 }
 
 func patternCol(c ColumnRef) ColumnRef {
@@ -55,35 +52,6 @@ func patternCol(c ColumnRef) ColumnRef {
 	return ColumnRef{Column: "C"}
 }
 
-func patternExpr(e Expr) Expr {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case Logic:
-		return Logic{Op: v.Op, Left: patternExpr(v.Left), Right: patternExpr(v.Right)}
-	case Not:
-		return Not{Inner: patternExpr(v.Inner)}
-	case Comparison:
-		return Comparison{Left: patternCol(v.Left), Op: patternOp(v.Op), Right: patternOperand(v.Right)}
-	case Between:
-		return Between{Col: patternCol(v.Col), Lo: patternOperand(v.Lo), Hi: patternOperand(v.Hi)}
-	case InSubquery:
-		sub := v.Query.Clone()
-		patternQuery(sub)
-		return InSubquery{Col: patternCol(v.Col), Query: sub, Negated: v.Negated}
-	case Exists:
-		sub := v.Query.Clone()
-		patternQuery(sub)
-		return Exists{Query: sub, Negated: v.Negated}
-	case HavingCond:
-		item := v.Item
-		item.Col = patternCol(item.Col)
-		return HavingCond{Item: item, Op: patternOp(v.Op), Right: patternOperand(v.Right)}
-	default:
-		return e
-	}
-}
-
 // patternOp collapses operator direction: all inequality comparisons
 // are one pattern class, equality/inequality another, LIKE its own.
 func patternOp(op CmpOp) CmpOp {
@@ -94,21 +62,6 @@ func patternOp(op CmpOp) CmpOp {
 		return OpLike
 	default:
 		return OpGt
-	}
-}
-
-func patternOperand(o Operand) Operand {
-	switch v := o.(type) {
-	case Value, Placeholder:
-		return Placeholder{Name: "V"}
-	case ColOperand:
-		return ColOperand{Col: patternCol(v.Col)}
-	case ScalarSubquery:
-		sub := v.Query.Clone()
-		patternQuery(sub)
-		return ScalarSubquery{Query: sub}
-	default:
-		return o
 	}
 }
 

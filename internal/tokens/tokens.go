@@ -151,20 +151,25 @@ func BigramJaccard(a, b string) float64 {
 		return 1
 	}
 	sa, sb := BigramSet(a), BigramSet(b)
+	return Jaccard(Intersect(sa, sb), len(sa), len(sb))
+}
+
+// Intersect counts the keys two BigramSets share.
+func Intersect(a, b []uint64) int {
 	inter, i, j := 0, 0, 0
-	for i < len(sa) && j < len(sb) {
+	for i < len(a) && j < len(b) {
 		switch {
-		case sa[i] == sb[j]:
+		case a[i] == b[j]:
 			inter++
 			i++
 			j++
-		case sa[i] < sb[j]:
+		case a[i] < b[j]:
 			i++
 		default:
 			j++
 		}
 	}
-	return Jaccard(inter, len(sa), len(sb))
+	return inter
 }
 
 // Jaccard is the Jaccard index of two sets of na and nb elements
